@@ -68,7 +68,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--mode", choices=["auto", "theorem12", "theorem3"], default=None)
     run.add_argument("--max-vertices", type=int, default=None)
-    run.add_argument("--threads", type=int, default=None, help="worker cap (execution is sequential)")
     run.add_argument("--dot", metavar="DIR", default=None, help="emit component DOT files")
 
     for name in ("lemma1", "lemma2", "lemma3", "lemma4"):
@@ -98,8 +97,6 @@ def _apply_overrides(inst: Instance, args) -> Instance:
         updates["seed"] = args.seed
     if args.max_vertices is not None:
         updates["max_vertices"] = args.max_vertices
-    if getattr(args, "threads", None) is not None:
-        updates["threads"] = args.threads
     if updates:
         from dataclasses import replace
 

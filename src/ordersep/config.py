@@ -23,7 +23,6 @@ class RunConfig:
     lemma2_scan_rounds: int = 64
     lemma3_retries: int = 3
     dot_vertex_cap: int = 5_000
-    threads: int = 1
 
     def __post_init__(self):
         for name in (
@@ -38,7 +37,6 @@ class RunConfig:
             "lemma2_scan_rounds",
             "lemma3_retries",
             "dot_vertex_cap",
-            "threads",
         ):
             if getattr(self, name) <= 0:
                 raise ParseError(f"budget {name} must be positive")

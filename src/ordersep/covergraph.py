@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
 )
 from .groupcore import FiniteGroup, Permutation, validate_group
-from .words import Factors, NormalForm, cartesian_basis, finite_factors, invert, is_cyclically_reduced, multiply, rewrite
+from .words import NormalForm, cartesian_basis, finite_factors, invert, is_cyclically_reduced, multiply, rewrite
 
 DEFAULT_MAX_VERTICES = 10 ** 6
 
@@ -45,12 +45,6 @@ class CoverGraph:
     @property
     def vcount(self) -> int:
         return int(self.acts[0].shape[1])
-
-    def act(self, f: int, c: int) -> np.ndarray:
-        return self.acts[f][c]
-
-    def words_factors(self) -> Factors:
-        return finite_factors(*self.factors)
 
     def factor_orbits(self, f: int) -> np.ndarray:
         """Label each vertex by the least vertex of its factor-f component."""

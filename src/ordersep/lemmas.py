@@ -49,7 +49,7 @@ from .errors import (
     SearchBudgetExceeded,
     TrivialTarget,
 )
-from .groupcore import perm_order, random_wreath_element
+from .groupcore import random_wreath_element
 from .words import (
     IDENTITY,
     Factors,
@@ -81,9 +81,6 @@ class SeparationResult:
     components: list[Component]
     orders: dict[int, int]
     transcript: list[dict] = field(default_factory=list)
-
-    def combined_order(self, w: NormalForm) -> int:
-        return math.lcm(*(word_order(c.graph, w) for c in self.components))
 
 
 def fresh_prime(excluded) -> int:
@@ -228,27 +225,6 @@ def connecting_words(root: NormalForm, factors: Factors):
                     continue
                 out.append((z, mu, nu, chi))
     return out
-
-
-def _perm_orbit_labels(p: np.ndarray) -> np.ndarray:
-    labels = np.full(len(p), -1, dtype=np.int64)
-    for v in range(len(p)):
-        if labels[v] < 0:
-            orbit = [v]
-            cur = int(p[v])
-            while cur != v:
-                orbit.append(cur)
-                cur = int(p[cur])
-            labels[np.array(orbit)] = v
-    return labels
-
-
-def _fixed_vertex_witness(g: CoverGraph, chi: NormalForm, u: NormalForm) -> int | None:
-    """Least vertex r with r * chi * u^l = r for some integer l, else None."""
-    labels = _perm_orbit_labels(word_perm_array(g, u))
-    pchi = word_perm_array(g, chi)
-    bad = np.flatnonzero(labels[pchi] == labels)
-    return int(bad[0]) if bad.size else None
 
 
 def _cyclic_membership(g: CoverGraph, chi: NormalForm, root: NormalForm) -> int | None:

@@ -11,15 +11,8 @@ from dataclasses import dataclass, field
 from sympy import factorint
 
 from .config import RunConfig, sub_seed
-from .covergraph import (
-    CoverGraph,
-    cayley_base,
-    graph_to_json,
-    synchronized_product,
-    word_order,
-)
+from .covergraph import cayley_base, graph_to_json, word_order
 from .errors import (
-    BudgetExceeded,
     ConjugatePair,
     EmptyTargets,
     HypothesisViolation,
@@ -31,16 +24,8 @@ from .errors import (
     SharedFactorOrder,
 )
 from .groupcore import FactorHom, FiniteGroup, cyclic_group, element_order, validate_group
-from .lemmas import (
-    Component,
-    SeparationResult,
-    fresh_prime,
-    lemma1_boost,
-    lemma3_separate,
-    lemma4_power_separate,
-)
+from .lemmas import Component, fresh_prime, lemma1_boost, lemma3_separate, lemma4_power_separate
 from .words import (
-    IDENTITY,
     FactorSpec,
     Factors,
     NormalForm,
@@ -50,7 +35,6 @@ from .words import (
     is_conjugate,
     is_cyclically_reduced,
     minimal_cartesian_power,
-    multiply,
     normalize,
     power,
     primitive_root,
@@ -73,15 +57,18 @@ class Instance:
 
 @dataclass
 class Certificate:
+    """Factor homs plus the components whose disjoint union is the witness
+    action: each target's order there is the lcm of its component orders."""
+
     factor_homs: list[dict]
     components: list[Component]
     orders: dict[int, int]
     verified: bool
     transcript: list[dict]
-    product: CoverGraph | None = None
+    product = None  # always None; bench/layers.py::_assembled reads it
 
     def to_json(self) -> dict:
-        data = {
+        return {
             "schema": 1,
             "factor_homs": self.factor_homs,
             "components": [
@@ -97,9 +84,6 @@ class Certificate:
             "verified": self.verified,
             "transcript": self.transcript,
         }
-        if self.product is not None:
-            data["product"] = graph_to_json(self.product)
-        return data
 
 
 # ---------------------------------------------------------------------------
@@ -602,10 +586,9 @@ def assemble_certificate(
     components: list[Component],
     orders: dict[int, int],
     transcript: list[dict],
-    config: RunConfig,
 ) -> Certificate:
-    """Bundle homs, components and orders; attach the materialized product
-    action when the full product fits the vertex budget."""
+    """Bundle homs, components, orders and transcript; the components' disjoint
+    union is the certificate's action, so no product is materialized."""
     hom_data = []
     for hom in homs:
         entry: dict = {"kind": hom.kind, "target_table": [list(r) for r in hom.target.table]}
@@ -614,22 +597,12 @@ def assemble_certificate(
         else:
             entry["modulus"] = hom.modulus
         hom_data.append(entry)
-    product = None
-    if components:
-        total = math.prod(c.graph.vcount for c in components)
-        if total <= config.max_vertices:
-            product = components[0].graph
-            for comp in components[1:]:
-                product = synchronized_product(
-                    product, comp.graph, max_vertices=config.max_vertices
-                )
     return Certificate(
         factor_homs=hom_data,
         components=components,
         orders=orders,
         verified=False,
         transcript=transcript,
-        product=product,
     )
 
 
@@ -651,7 +624,7 @@ def run_theorem12(inst: Instance, reduced: list[NormalForm] | None = None) -> Ce
     components, orders = _finite_stage(
         rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t12"), transcript
     )
-    return assemble_certificate(homs, components, orders, transcript, inst.config)
+    return assemble_certificate(homs, components, orders, transcript)
 
 
 def _trivial_hom(spec: FactorSpec) -> FactorHom:
@@ -666,92 +639,71 @@ def _syllables_survive(w: NormalForm, f: int, hom: FactorHom) -> bool:
     return all(hom.apply(v) != 0 for ff, v in w.syllables if ff == f)
 
 
-def _target_order_in_factor(spec: FactorSpec, w: NormalForm) -> int | None:
-    """Order of a single-syllable target inside its factor; None if infinite."""
-    if w.is_identity:
-        return 1
-    f, v = w.syllables[0]
-    if spec.is_finite:
-        return element_order(spec.group, v)
-    return None
-
-
 def run_theorem3(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
-    """Mixed-case driver for up to three targets; shapes outside the two
-    mixed cases delegate to the general pipeline."""
+    """Mixed-case driver for up to three targets; targets that all avoid one
+    factor go to the general pipeline."""
     reduced = reduced if reduced is not None else check_hypotheses(inst)
     if len(reduced) > 3:
         raise HypothesisViolation("theorem3 supports at most 3 targets")
     sides: dict[int, list[int]] = {0: [], 1: []}
     hypers: list[int] = []
-    identities: list[int] = []
     for i, w in enumerate(reduced):
         if len(w) >= 2:
             hypers.append(i)
         elif len(w) == 1:
             sides[w.syllables[0][0]].append(i)
-        else:
-            identities.append(i)
     if not sides[0] or not sides[1]:
         # all targets avoid one factor: the general machinery applies as is
         return run_theorem12(inst, reduced)
 
+    # with both sides taken, at most one of the three targets is hyperbolic
     transcript: list[dict] = [{"stage": "mode", "value": "theorem3"}]
-    if len(hypers) == 1 and len(sides[0]) <= 1 and len(sides[1]) <= 1:
-        u_idx = sides[0][0] if sides[0] else None
-        v_idx = sides[1][0] if sides[1] else None
-        return _theorem3_case_one(inst, reduced, u_idx, v_idx, hypers[0], transcript)
-    if not hypers:
-        return _theorem3_case_two(inst, reduced, sides, transcript)
-    # more than one hyperbolic target next to elements on both sides cannot
-    # occur with three targets; fall back to the general pipeline
-    return run_theorem12(inst, reduced)
+    if hypers:
+        return _theorem3_case_one(inst, reduced, sides[0][0], sides[1][0], hypers[0], transcript)
+    return _theorem3_case_two(inst, reduced, sides, transcript)
 
 
 def _theorem3_case_one(
     inst: Instance,
     reduced: list[NormalForm],
-    u_idx: int | None,
-    v_idx: int | None,
+    u_idx: int,
+    v_idx: int,
     w_idx: int,
     transcript: list[dict],
 ) -> Certificate:
-    """At most one nontrivial element per side plus a hyperbolic target: pick
-    factor homs keeping both elements alive with distinct orders and the
-    hyperbolic shape intact, then run the finite stage."""
+    """One nontrivial element per side plus a hyperbolic target: pick factor
+    homs keeping both elements alive with distinct orders and the hyperbolic
+    shape intact, then run the finite stage."""
     factors = inst.factors
     w = reduced[w_idx]
     bound = inst.config.modulus_bound
-    u_val = reduced[u_idx].syllables[0][1] if u_idx is not None else None
-    v_val = reduced[v_idx].syllables[0][1] if v_idx is not None else None
+    u_val = reduced[u_idx].syllables[0][1]
+    v_val = reduced[v_idx].syllables[0][1]
     v_finite_order = None
-    if v_idx is not None and factors.spec(1).is_finite:
+    if factors.spec(1).is_finite:
         v_finite_order = element_order(factors.spec(1).group, v_val)
 
     def feasible0(h0: FactorHom) -> bool:
-        if u_val is not None:
-            img_order = _hom_order(h0, u_val)
-            if img_order == 1:
+        img_order = _hom_order(h0, u_val)
+        if img_order == 1:
+            return False
+        # an infinite-order element beside a finite-order one must not
+        # land on a divisor of the finite order
+        if not factors.spec(0).is_finite and v_finite_order is not None:
+            if v_finite_order % img_order == 0:
                 return False
-            # an infinite-order element beside a finite-order one must not
-            # land on a divisor of the finite order
-            if not factors.spec(0).is_finite and v_finite_order is not None:
-                if v_finite_order % img_order == 0:
-                    return False
         return _syllables_survive(w, 0, h0)
 
     def feasible1(h1: FactorHom) -> bool:
-        if v_val is not None and _hom_order(h1, v_val) == 1:
+        if _hom_order(h1, v_val) == 1:
             return False
         return _syllables_survive(w, 1, h1)
 
     def try_pair(h0: FactorHom, h1: FactorHom):
-        u_order = _hom_order(h0, u_val) if u_val is not None else 1
-        if v_val is not None:
-            # the second element must survive raising to the first's order,
-            # which also forces the two image orders apart
-            if u_order % _hom_order(h1, v_val) == 0:
-                return None
+        # the second element must survive raising to the first's order,
+        # which also forces the two image orders apart
+        if _hom_order(h0, u_val) % _hom_order(h1, v_val) == 0:
+            return None
         homs = (h0, h1)
         rfactors = finite_factors(h0.target, h1.target)
         mapped = [map_word(t, homs, rfactors) for t in reduced]
@@ -761,7 +713,7 @@ def _theorem3_case_one(
             rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t3c1"), transcript
         )
         transcript.append({"stage": "case", "value": "mixed-with-hyperbolic"})
-        return assemble_certificate(homs, components, orders, transcript, inst.config)
+        return assemble_certificate(homs, components, orders, transcript)
 
     result = _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
     if result is not None:
@@ -778,8 +730,10 @@ def _theorem3_case_two(
     transcript: list[dict],
 ) -> Certificate:
     """All targets are factor elements, on both sides.  Either two nontrivial
-    elements share a side (retraction onto that side's quotient) or each side
-    holds one (direct product action with non-dividing image orders)."""
+    elements share a side (a quotient of that side separating them, with the
+    other side retracted away or, failing that, keeping the third target's
+    order apart) or each side holds one (direct product action with
+    non-dividing image orders)."""
     factors = inst.factors
     bound = inst.config.modulus_bound
     double_side = 0 if len(sides[0]) == 2 else (1 if len(sides[1]) == 2 else None)
@@ -789,24 +743,40 @@ def _theorem3_case_two(
         i1, i2 = sides[s]
         v1 = reduced[i1].syllables[0][1]
         v2 = reduced[i2].syllables[0][1]
-        for hom in _candidate_stream(factors.spec(s), bound):
-            o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
-            if o1 == 1 or o2 == 1 or o1 == o2:
-                continue
-            homs = [None, None]
-            homs[s] = hom
-            homs[other] = _trivial_hom(factors.spec(other))
-            homs_t = (homs[0], homs[1])
+        v3 = reduced[sides[other][0]].syllables[0][1]
+
+        def certificate(hom: FactorHom, other_hom: FactorHom, note: str, case: str) -> Certificate:
+            homs_t = (hom, other_hom) if s == 0 else (other_hom, hom)
             rfactors = finite_factors(homs_t[0].target, homs_t[1].target)
             mapped = [map_word(t, homs_t, rfactors) for t in reduced]
             base = Component(
                 cayley_base(*rfactors.groups(), max_vertices=inst.config.max_vertices),
                 None,
-                "retraction onto one factor",
+                note,
             )
             orders = _orders_on([base], mapped)
-            transcript.append({"stage": "case", "value": "two-on-one-side-retraction"})
-            return assemble_certificate(homs_t, [base], orders, transcript, inst.config)
+            transcript.append({"stage": "case", "value": case})
+            return assemble_certificate(homs_t, [base], orders, transcript)
+
+        for hom in _candidate_stream(factors.spec(s), bound):
+            o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
+            if o1 == 1 or o2 == 1 or o1 == o2:
+                continue
+            return certificate(
+                hom, _trivial_hom(factors.spec(other)),
+                "retraction onto one factor", "two-on-one-side-retraction",
+            )
+        # no quotient keeps both alive apart: let one die and keep the third
+        # target's image order away from both
+        for hom in _candidate_stream(factors.spec(s), bound):
+            o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
+            if o1 == o2:
+                continue
+            for other_hom in _candidate_stream(factors.spec(other), bound):
+                if _hom_order(other_hom, v3) not in (o1, o2):
+                    return certificate(
+                        hom, other_hom, "factor product action", "two-on-one-side-quotient"
+                    )
         if factors.spec(s).is_finite:
             raise NoFactorHom("no quotient separates the two same-side elements")
         raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
@@ -845,7 +815,7 @@ def _theorem3_case_two(
         if len(set(orders.values())) != len(orders):
             return None
         transcript.append({"stage": "case", "value": "one-each-side"})
-        return assemble_certificate(homs_t, [base], orders, transcript, inst.config)
+        return assemble_certificate(homs_t, [base], orders, transcript)
 
     result = _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
     if result is not None:
@@ -862,15 +832,7 @@ def separate(inst: Instance) -> Certificate:
         return run_theorem12(inst, reduced)
     if inst.mode == "theorem3":
         return run_theorem3(inst, reduced)
-    # auto: the mixed-case driver when the shape matches, else the general one
-    if len(reduced) <= 3:
-        sides = {0: 0, 1: 0}
-        hypers = 0
-        for w in reduced:
-            if len(w) >= 2:
-                hypers += 1
-            elif len(w) == 1:
-                sides[w.syllables[0][0]] += 1
-        if sides[0] and sides[1] and (hypers <= 1):
-            return run_theorem3(inst, reduced)
-    return run_theorem12(inst, reduced)
+    # auto: the mixed-case driver routes shapes it does not cover onward
+    if len(reduced) > 3:
+        return run_theorem12(inst, reduced)
+    return run_theorem3(inst, reduced)

@@ -185,7 +185,8 @@ def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     Validates the factor homomorphisms and every component graph, re-walks
     each original target through an independent reduction/action code path,
     and compares recomputed orders and their pairwise distinctness with the
-    claims.
+    claims.  A ``product`` graph, which only certificates from older builds
+    carry, must be valid and give every target its component-lcm order.
     """
     report = VerifyReport()
 

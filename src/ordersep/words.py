@@ -99,10 +99,6 @@ class NormalForm:
         return not self.syllables
 
     @property
-    def is_factor_element(self) -> bool:
-        return len(self.syllables) == 1
-
-    @property
     def is_hyperbolic(self) -> bool:
         return len(self.syllables) >= 2
 

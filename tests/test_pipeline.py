@@ -25,7 +25,7 @@ from ordersep.pipeline import (
     run_theorem12,
     separate,
 )
-from ordersep.verify import verify_certificate
+from ordersep.verify import brute_force_search, verify_certificate
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors, normalize, power
 
 A = (0, 1)
@@ -38,6 +38,11 @@ E = NormalForm(())
 @pytest.fixture(scope="session")
 def zz3():
     return Factors((FactorSpec("infinite_cyclic"), FactorSpec("finite", cyclic_group(3))))
+
+
+@pytest.fixture(scope="session")
+def zz5():
+    return Factors((FactorSpec("infinite_cyclic"), FactorSpec("finite", cyclic_group(5))))
 
 
 @pytest.fixture(scope="session")
@@ -261,6 +266,25 @@ class TestTheorem3:
         assert len(set(cert.orders.values())) == 3
         assert verified(inst, cert).verdict
 
+    def test_two_same_order_elements_on_one_side(self, klein, z3):
+        # x and y are distinct involutions: no quotient of the Klein group
+        # keeps both alive with distinct orders, but killing one does
+        inst = Instance(
+            finite_factors(klein, z3),
+            [NormalForm(((0, 1),)), NormalForm(((0, 2),)), NormalForm(((1, 1),))],
+        )
+        oracle = brute_force_search(instance_to_json(inst), max_degree=4)
+        assert oracle.found and sorted(oracle.orders.values()) == [1, 2, 3]
+        cert = separate(inst)
+        assert sorted(cert.orders.values()) == [1, 2, 3]
+        assert verified(inst, cert).verdict
+
+    def test_equal_orders_under_every_hom(self, zz5):
+        # b and b^2 have equal orders under every homomorphism
+        inst = Instance(zz5, [NormalForm(((0, 1),)), NormalForm(((1, 1),)), NormalForm(((1, 2),))])
+        with pytest.raises(NoFactorHom):
+            separate(inst)
+
     def test_target_cap(self, f23):
         words = [NormalForm((A,)), NormalForm((B,)), AB, ABAB2]
         with pytest.raises(HypothesisViolation):
@@ -275,11 +299,13 @@ class TestTheorem3:
 
 
 class TestAssemble:
-    def test_product_materialized_when_small(self, f23):
+    def test_certificate_carries_no_product(self, f23):
+        # the components' disjoint union is the witness action; no product
+        # of them is materialized, however small
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,))], "theorem12")
         cert = separate(inst)
-        assert cert.product is not None
-        assert cert.product.vcount == 6
+        assert "product" not in cert.to_json()
+        assert verified(inst, cert).verdict
 
     def test_lcm_orders(self, f23):
         inst = Instance(f23, [ABAB2, power(AB, 6, f23)], "theorem12")

@@ -1,5 +1,6 @@
 import pytest
 
+from ordersep.covergraph import graph_to_json, synchronized_product
 from ordersep.errors import HypothesisViolation, InfiniteFactor
 from ordersep.groupcore import cyclic_group
 from ordersep.pipeline import Instance, instance_to_json, separate
@@ -15,6 +16,17 @@ def make_cert(inst):
     cert = separate(inst)
     data = cert.to_json()
     data["verified"] = True
+    return data
+
+
+def with_product(inst):
+    cert = separate(inst)
+    product = cert.components[0].graph
+    for comp in cert.components[1:]:
+        product = synchronized_product(product, comp.graph)
+    data = cert.to_json()
+    data["verified"] = True
+    data["product"] = graph_to_json(product)
     return data
 
 
@@ -67,6 +79,23 @@ class TestVerifyCertificate:
         data["factor_homs"][0]["map"] = [0, 0]  # a valid hom, but not the used one
         report = verify_certificate(instance_to_json(inst), data)
         assert not report.verdict
+
+    def test_matching_product_passes(self, f23):
+        # certificates from older builds carry the product of the components
+        inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
+        data = with_product(inst)
+        report = verify_certificate(instance_to_json(inst), data)
+        assert report.verdict
+        assert any("product" in c for c in report.checks)
+
+    def test_tampered_product_fails(self, f23):
+        inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
+        data = with_product(inst)
+        row = data["product"]["action"][0][0]
+        row[0] = (row[0] + 1) % data["product"]["vcount"]
+        report = verify_certificate(instance_to_json(inst), data)
+        assert not report.verdict
+        assert any("product" in f for f in report.failures)
 
     def test_unverified_flag_fails(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
