@@ -122,15 +122,7 @@ def _emit_dots(components, directory: str, cap: int) -> None:
 def _separation_json(res: SeparationResult) -> dict:
     return {
         "schema": 1,
-        "components": [
-            {
-                "type": "graph",
-                "prime": c.prime,
-                "note": c.note,
-                "graph": graph_to_json(c.graph),
-            }
-            for c in res.components
-        ],
+        "components": [c.to_json() for c in res.components],
         "orders": {str(i): o for i, o in sorted(res.orders.items())},
         "transcript": res.transcript,
     }

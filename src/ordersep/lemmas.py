@@ -32,6 +32,7 @@ from .covergraph import (
     SurgeryMark,
     close_edge_scan,
     gamma_surgery,
+    graph_to_json,
     induced_graph,
     perm_array_order,
     word_perm_array,
@@ -74,6 +75,14 @@ class Component:
     graph: CoverGraph
     prime: int | None
     note: str = ""
+
+    def to_json(self) -> dict:
+        return {
+            "type": "graph",
+            "prime": self.prime,
+            "note": self.note,
+            "graph": graph_to_json(self.graph),
+        }
 
 
 @dataclass

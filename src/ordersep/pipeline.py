@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from sympy import factorint
 
 from .config import RunConfig, sub_seed
-from .covergraph import cayley_base, graph_to_json, word_order
+from .covergraph import cayley_base, word_order
 from .errors import (
     ConjugatePair,
     EmptyTargets,
@@ -24,7 +24,7 @@ from .errors import (
     SharedFactorOrder,
 )
 from .groupcore import FactorHom, FiniteGroup, cyclic_group, element_order, validate_group
-from .lemmas import Component, fresh_prime, lemma1_boost, lemma3_separate, lemma4_power_separate
+from .lemmas import Component, fresh_prime, lemma1_boost, lemma3_separate
 from .words import (
     FactorSpec,
     Factors,
@@ -71,15 +71,7 @@ class Certificate:
         return {
             "schema": 1,
             "factor_homs": self.factor_homs,
-            "components": [
-                {
-                    "type": "graph",
-                    "prime": comp.prime,
-                    "note": comp.note,
-                    "graph": graph_to_json(comp.graph),
-                }
-                for comp in self.components
-            ],
+            "components": [comp.to_json() for comp in self.components],
             "orders": {str(i): o for i, o in sorted(self.orders.items())},
             "verified": self.verified,
             "transcript": self.transcript,
@@ -268,11 +260,14 @@ def _candidate_stream(spec: FactorSpec, bound: int):
 
 
 def _search_hom_pair(specs, bound, feasible, try_pair):
-    """Lazy diagonal search over two candidate streams.
+    """First non-None ``try_pair`` result over pairs of factor homs.
 
-    ``feasible[f]`` filters single candidates; ``try_pair`` returns a result
-    or None.  Deterministic: candidates are tried in stream order, pairs by
-    growing maximum level.
+    Each factor's candidates are its quotients (finite factor) or its moduli
+    up to ``bound`` (infinite cyclic factor); ``feasible[f]`` filters them one
+    at a time.  Pairs are tried lazily by growing maximum level, candidates
+    in stream order, so the result is deterministic.  An exhausted search
+    raises ``NoFactorHom`` when both factors are finite and
+    ``ModulusBudgetExceeded`` otherwise.
     """
     streams = [_candidate_stream(specs[0], bound), _candidate_stream(specs[1], bound)]
     kept: list[list] = [[], []]
@@ -306,7 +301,9 @@ def _search_hom_pair(specs, bound, feasible, try_pair):
                 if result is not None:
                     return result
         if exhausted[0] and exhausted[1] and level >= max(n0, n1):
-            return None
+            if specs[0].is_finite and specs[1].is_finite:
+                raise NoFactorHom("factor homomorphism search exhausted")
+            raise ModulusBudgetExceeded(f"no modulus pair found up to {bound}")
         level += 1
 
 
@@ -356,17 +353,12 @@ def reduce_factors(
                     return None
         return homs, rfactors, mapped
 
-    result = _search_hom_pair(
+    return _search_hom_pair(
         inst.factors.specs,
         bound,
         [lambda h, f=f: _factor_feasible(h, *lams[f]) for f in (0, 1)],
         try_pair,
     )
-    if result is not None:
-        return result
-    if not inst.factors.all_finite:
-        raise ModulusBudgetExceeded(f"no modulus pair found up to {bound}")
-    raise NoFactorHom("factor quotient search exhausted")
 
 
 # ---------------------------------------------------------------------------
@@ -463,33 +455,24 @@ def _finite_stage(
     seed: int,
     transcript: list[dict],
 ) -> tuple[list[Component], dict[int, int]]:
-    """Separate the mapped targets over finite factors: product-action base,
-    per-class power separation, root separation, then the repair loop."""
-    ga, gb = rfactors.groups()
-    base = Component(
-        cayley_base(ga, gb, max_vertices=config.max_vertices), None, "factor product action"
-    )
-    components = [base]
-    _alpha, _beta, gamma_idx = classify_targets(mapped)
-    classes = hyperbolic_classes(gamma_idx, mapped, rfactors)
-    for n, cls in enumerate(classes):
-        exponents = sorted({abs(k) for _i, k, _l in cls.members})
-        res = lemma4_power_separate(
-            cls.root, exponents, rfactors, seed=sub_seed(seed, "class", n), config=config
-        )
-        components.extend(res.components)
-        transcript.extend(res.transcript)
-    if classes:
-        pi = set(factorint(ga.n)) | set(factorint(gb.n))
-        pi |= _primes_of_orders(components, mapped)
-        res3 = lemma3_separate(
-            [cls.root for cls in classes], pi, rfactors,
-            seed=sub_seed(seed, "roots"), config=config,
-        )
-        components.extend(res3.components)
-        transcript.extend(res3.transcript)
-        transcript.append({"stage": "roots-separated", "orders": [res3.orders[i] for i in range(len(classes))]})
+    """Separate the mapped targets over finite factors: start from the factor
+    product action and add lemma components only for pairs whose orders
+    collide, one pair per repair round.
 
+    Each round must keep every pair that was already distinct.  The
+    vs-factor and cross-class repairs use only primes dividing no current
+    order, so they multiply each order by a coprime factor and cannot merge
+    two distinct orders; the same-class repair may pick a prime already in
+    use, and the assertion at the end of the round guards it.
+    """
+    components = [
+        Component(
+            cayley_base(*rfactors.groups(), max_vertices=config.max_vertices),
+            None,
+            "factor product action",
+        )
+    ]
+    classes = hyperbolic_classes(classify_targets(mapped)[2], mapped, rfactors)
     orders = _orders_on(components, mapped)
     known_distinct = _distinct_pairs(orders)
     max_repairs = config.max_repairs or max(1, len(mapped) ** 2)
@@ -610,21 +593,34 @@ def assemble_certificate(
 # theorem drivers
 # ---------------------------------------------------------------------------
 
+def _certify(
+    homs: tuple[FactorHom, FactorHom],
+    reduced: list[NormalForm],
+    inst: Instance,
+    seed_tag: str,
+    transcript: list[dict],
+) -> Certificate:
+    """Map the targets through ``homs``, separate them over the finite
+    quotients and bundle the result."""
+    rfactors = finite_factors(homs[0].target, homs[1].target)
+    mapped = [map_word(t, homs, rfactors) for t in reduced]
+    components, orders = _finite_stage(
+        rfactors, mapped, inst.config, sub_seed(inst.config.seed, seed_tag), transcript
+    )
+    return assemble_certificate(homs, components, orders, transcript)
+
+
 def run_theorem12(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
     reduced = reduced if reduced is not None else check_hypotheses(inst)
     transcript: list[dict] = [{"stage": "mode", "value": "theorem12"}]
-    partition = classify_targets(reduced)
-    homs, rfactors, mapped = reduce_factors(inst, reduced, partition)
+    homs, _rfactors, _mapped = reduce_factors(inst, reduced, classify_targets(reduced))
     transcript.append(
         {
             "stage": "reduced",
             "factor_sizes": [homs[0].target.n, homs[1].target.n],
         }
     )
-    components, orders = _finite_stage(
-        rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t12"), transcript
-    )
-    return assemble_certificate(homs, components, orders, transcript)
+    return _certify(homs, reduced, inst, "t12", transcript)
 
 
 def _trivial_hom(spec: FactorSpec) -> FactorHom:
@@ -705,22 +701,13 @@ def _theorem3_case_one(
         if _hom_order(h0, u_val) % _hom_order(h1, v_val) == 0:
             return None
         homs = (h0, h1)
-        rfactors = finite_factors(h0.target, h1.target)
-        mapped = [map_word(t, homs, rfactors) for t in reduced]
-        if len(mapped[w_idx]) != len(w) or not is_cyclically_reduced(mapped[w_idx]):
+        image = map_word(w, homs, finite_factors(h0.target, h1.target))
+        if len(image) != len(w) or not is_cyclically_reduced(image):
             return None
-        components, orders = _finite_stage(
-            rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t3c1"), transcript
-        )
         transcript.append({"stage": "case", "value": "mixed-with-hyperbolic"})
-        return assemble_certificate(homs, components, orders, transcript)
+        return _certify(homs, reduced, inst, "t3c1", transcript)
 
-    result = _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
-    if result is not None:
-        return result
-    if factors.all_finite:
-        raise NoFactorHom("no factor homomorphism pair fits the mixed case")
-    raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
+    return _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
 
 
 def _theorem3_case_two(
@@ -729,11 +716,17 @@ def _theorem3_case_two(
     sides: dict[int, list[int]],
     transcript: list[dict],
 ) -> Certificate:
-    """All targets are factor elements, on both sides.  Either two nontrivial
-    elements share a side (a quotient of that side separating them, with the
-    other side retracted away or, failing that, keeping the third target's
-    order apart) or each side holds one (direct product action with
-    non-dividing image orders)."""
+    """All targets are factor elements, on both sides.  On the factor product
+    action a factor element's order is the order of its image, so each
+    branch picks homs by image orders alone and certifies with no repair.
+
+    Two nontrivial elements on one side take a quotient of that side giving
+    them distinct orders: with both alive and the other side retracted away,
+    or, failing that, one of them possibly dying and the other side's target
+    keeping an order apart from both.  One element on each side (plus
+    possibly the identity) takes a hom pair giving the two distinct
+    orders.
+    """
     factors = inst.factors
     bound = inst.config.modulus_bound
     double_side = 0 if len(sides[0]) == 2 else (1 if len(sides[1]) == 2 else None)
@@ -745,26 +738,17 @@ def _theorem3_case_two(
         v2 = reduced[i2].syllables[0][1]
         v3 = reduced[sides[other][0]].syllables[0][1]
 
-        def certificate(hom: FactorHom, other_hom: FactorHom, note: str, case: str) -> Certificate:
-            homs_t = (hom, other_hom) if s == 0 else (other_hom, hom)
-            rfactors = finite_factors(homs_t[0].target, homs_t[1].target)
-            mapped = [map_word(t, homs_t, rfactors) for t in reduced]
-            base = Component(
-                cayley_base(*rfactors.groups(), max_vertices=inst.config.max_vertices),
-                None,
-                note,
-            )
-            orders = _orders_on([base], mapped)
+        def certificate(hom: FactorHom, other_hom: FactorHom, case: str) -> Certificate:
             transcript.append({"stage": "case", "value": case})
-            return assemble_certificate(homs_t, [base], orders, transcript)
+            homs = (hom, other_hom) if s == 0 else (other_hom, hom)
+            return _certify(homs, reduced, inst, "t3c2", transcript)
 
         for hom in _candidate_stream(factors.spec(s), bound):
             o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
             if o1 == 1 or o2 == 1 or o1 == o2:
                 continue
             return certificate(
-                hom, _trivial_hom(factors.spec(other)),
-                "retraction onto one factor", "two-on-one-side-retraction",
+                hom, _trivial_hom(factors.spec(other)), "two-on-one-side-retraction"
             )
         # no quotient keeps both alive apart: let one die and keep the third
         # target's image order away from both
@@ -774,9 +758,7 @@ def _theorem3_case_two(
                 continue
             for other_hom in _candidate_stream(factors.spec(other), bound):
                 if _hom_order(other_hom, v3) not in (o1, o2):
-                    return certificate(
-                        hom, other_hom, "factor product action", "two-on-one-side-quotient"
-                    )
+                    return certificate(hom, other_hom, "two-on-one-side-quotient")
         if factors.spec(s).is_finite:
             raise NoFactorHom("no quotient separates the two same-side elements")
         raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
@@ -803,26 +785,13 @@ def _theorem3_case_two(
         return _hom_order(h1, v1) != 1
 
     def try_pair(h0: FactorHom, h1: FactorHom):
-        homs_t = (h0, h1)
-        rfactors = finite_factors(h0.target, h1.target)
-        mapped = [map_word(t, homs_t, rfactors) for t in reduced]
-        base = Component(
-            cayley_base(*rfactors.groups(), max_vertices=inst.config.max_vertices),
-            None,
-            "factor product action",
-        )
-        orders = _orders_on([base], mapped)
-        if len(set(orders.values())) != len(orders):
+        # both images are nontrivial, so the identity target stays apart
+        if _hom_order(h0, v0) == _hom_order(h1, v1):
             return None
         transcript.append({"stage": "case", "value": "one-each-side"})
-        return assemble_certificate(homs_t, [base], orders, transcript)
+        return _certify((h0, h1), reduced, inst, "t3c2", transcript)
 
-    result = _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
-    if result is not None:
-        return result
-    if factors.all_finite:
-        raise NoFactorHom("no factor homomorphism pair fits the two-sided case")
-    raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
+    return _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
 
 
 def separate(inst: Instance) -> Certificate:

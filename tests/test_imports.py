@@ -1,8 +1,11 @@
-"""Every top-level import of a package module is referenced in that module.
+"""Import rules for the package modules, checked on their syntax trees
+since no linter ships with the toolchain.
 
-No linter ships with the toolchain, so this walks each module's syntax tree:
-a name bound by a top-level ``import`` must occur as a name somewhere in
-the module, or be listed in its ``__all__``.
+Every top-level import is referenced: a name bound by a top-level ``import``
+must occur as a name somewhere in the module, or be listed in its
+``__all__``.  The verifier stays independent of construction: ``verify``
+imports no package module but ``errors``, and no construction module
+imports ``verify``.
 """
 
 import ast
@@ -38,3 +41,24 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [n for n in _imported_names(tree) if n not in used | _exported_names(tree)]
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+def _package_imports(path: Path) -> set[str]:
+    """Package modules imported anywhere in ``path``, by bare name."""
+    dotted = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            dotted += [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ["ordersep" if node.level else None, node.module]))
+            dotted += [f"{module}.{a.name}" for a in node.names]
+    return {d.split(".")[1] for d in dotted if d.startswith("ordersep.")}
+
+
+def test_verifier_imports_only_errors():
+    assert _package_imports(PACKAGE / "verify.py") <= {"errors"}
+
+
+@pytest.mark.parametrize("name", ["pipeline", "lemmas", "covergraph", "groupcore", "words"])
+def test_construction_does_not_import_verifier(name):
+    assert "verify" not in _package_imports(PACKAGE / f"{name}.py")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -54,6 +55,10 @@ def verified(inst, cert):
     data = cert.to_json()
     data["verified"] = True
     return verify_certificate(instance_to_json(inst), data)
+
+
+def repair_stages(cert):
+    return [t["stage"] for t in cert.transcript if t["stage"].startswith("repair-")]
 
 
 class TestCheckHypotheses:
@@ -194,18 +199,59 @@ class TestTheorem12:
         assert cert.orders == {0: 2, 1: 3}
         assert verified(inst, cert).verdict
 
+    def test_base_action_alone_when_orders_differ(self, f23):
+        # a and ab already have orders 2 and 6 on the factor product action
+        inst = Instance(f23, [NormalForm((A,)), AB], "theorem12")
+        cert = separate(inst)
+        assert [c.graph.vcount for c in cert.components] == [6]
+        assert cert.orders == {0: 2, 1: 6}
+        assert repair_stages(cert) == []
+        assert verified(inst, cert).verdict
+
+    def test_hyperbolic_vs_factor_collision(self, f23):
+        # b and (ab)^2 both have order 3 on the factor product action
+        inst = Instance(f23, [NormalForm((B,)), power(AB, 2, f23)], "theorem12")
+        cert = separate(inst)
+        assert len(cert.components) == 2
+        assert repair_stages(cert) == ["repair-vs-factor"]
+        assert cert.orders[0] == 3 and cert.orders[1] != 3
+        assert verified(inst, cert).verdict
+
     def test_power_pair(self, f23):
         w6, w12 = power(AB, 6, f23), power(AB, 12, f23)
         inst = Instance(f23, [w6, w12], "theorem12")
         cert = separate(inst)
         assert cert.orders[0] != cert.orders[1]
+        assert "repair-same-class" in repair_stages(cert)
         assert verified(inst, cert).verdict
 
     def test_two_roots(self, f23):
         inst = Instance(f23, [ABAB2, power(AB, 6, f23)], "theorem12")
         cert = separate(inst)
         assert cert.orders[0] != cert.orders[1]
+        assert "repair-cross-class" in repair_stages(cert)
         assert verified(inst, cert).verdict
+
+    def test_short_word_subsets(self, f23):
+        # every 1-3 element set of short words: the repair loop either
+        # separates it or the hypothesis check rejects a conjugate pair
+        b2 = (1, 2)
+        words = [
+            [A], [B], [b2], [A, B], [A, b2], [A, B, A, B], [A, B, A, b2],
+            [A, b2, A, B], [A, b2, A, b2],
+        ]
+        sets = 0
+        for size in (1, 2, 3):
+            for chosen in itertools.combinations(words, size):
+                sets += 1
+                inst = Instance(f23, [normalize(w, f23) for w in chosen], "theorem12")
+                try:
+                    cert = separate(inst)
+                except ConjugatePair:
+                    continue
+                assert len(set(cert.orders.values())) == size, chosen
+                assert verified(inst, cert).verdict, chosen
+        assert sets == 129
 
     def test_original_order_is_power_times_class_order(self, f23):
         # order of ab must equal 6 times the order of (ab)^6 on every component
