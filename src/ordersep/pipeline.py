@@ -6,12 +6,13 @@ and the distinctness repair loop.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
-from sympy import factorint
+from sympy import factorint, multiplicity
 
 from .config import RunConfig, sub_seed
-from .covergraph import cayley_base, word_order
+from .covergraph import cayley_base, induced_graph, word_order
 from .errors import (
     ConjugatePair,
     EmptyTargets,
@@ -23,12 +24,13 @@ from .errors import (
     RepairBudgetExceeded,
     SharedFactorOrder,
 )
-from .groupcore import FactorHom, FiniteGroup, cyclic_group, element_order, validate_group
+from .groupcore import FactorHom, FiniteGroup, Permutation, cyclic_group, element_order, validate_group
 from .lemmas import Component, fresh_prime, lemma1_boost, lemma3_separate
 from .words import (
     FactorSpec,
     Factors,
     NormalForm,
+    cartesian_basis,
     cyclically_reduce,
     finite_factors,
     invert,
@@ -39,6 +41,9 @@ from .words import (
     power,
     primitive_root,
 )
+
+SMALL_FIBERS = range(2, 9)  # fiber sizes a cross-class repair tries before Lemma 3
+SMALL_DRAWS = 16  # random fiber assignments per size
 
 
 @dataclass
@@ -459,11 +464,10 @@ def _finite_stage(
     product action and add lemma components only for pairs whose orders
     collide, one pair per repair round.
 
-    Each round must keep every pair that was already distinct.  The
-    vs-factor and cross-class repairs use only primes dividing no current
-    order, so they multiply each order by a coprime factor and cannot merge
-    two distinct orders; the same-class repair may pick a prime already in
-    use, and the assertion at the end of the round guards it.
+    Each round must keep every pair that was already distinct: a small
+    action is kept only if it does; the vs-factor repair and Lemma 3 use only
+    primes dividing no current order, so they cannot merge two orders; the
+    same-class repair may reuse a prime, and the round's assertion guards it.
     """
     components = [
         Component(
@@ -528,17 +532,21 @@ def _repair_pair(
             raise InternalError("same-class pair with matching power profile")
         p = 2
         while (
-            _valuation(li, p) - _valuation(abs(ki), p)
-            == _valuation(lj, p) - _valuation(abs(kj), p)
+            multiplicity(p, li) - multiplicity(p, abs(ki))
+            == multiplicity(p, lj) - multiplicity(p, abs(kj))
         ):
             p = fresh_prime(set(range(2, p + 1)))
         ceiling = max(
-            _valuation(word_order(c.graph, cls.root), p) for c in components
-        ) + max(_valuation(abs(ki), p), _valuation(abs(kj), p)) + 1
+            multiplicity(p, word_order(c.graph, cls.root)) for c in components
+        ) + max(multiplicity(p, abs(ki)), multiplicity(p, abs(kj))) + 1
         comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
         transcript.append({"stage": "repair-same-class", "pair": [i, j], "prime": p})
         return [comp]
     if in_i and in_j:
+        comp = _small_action(i, j, mapped, components, rfactors, config, seed)
+        if comp is not None:
+            transcript.append({"stage": "repair-cross-class", "pair": [i, j], "action": comp.note})
+            return [comp]
         res = lemma3_separate(
             [classes[root_of[i]].root, classes[root_of[j]].root], used, rfactors,
             seed=seed, config=config,
@@ -546,22 +554,42 @@ def _repair_pair(
         transcript.append({"stage": "repair-cross-class", "pair": [i, j]})
         return res.components
     if in_i or in_j:
-        cls = classes[root_of[i if in_i else j]]
+        idx = i if in_i else j
+        cls = classes[root_of[idx]]
+        k = next(k for member, k, _l in cls.members if member == idx)
         p = fresh_prime(used)
-        comp = lemma1_boost([cls.root], p, 1, rfactors, seed=seed, config=config)
+        # the target powers into root^k: p divides its order once the root's exceeds k's p-part
+        comp = lemma1_boost([cls.root], p, multiplicity(p, abs(k)), rfactors, seed=seed, config=config)
         transcript.append({"stage": "repair-vs-factor", "pair": [i, j], "prime": p})
         return [comp]
     raise InternalError(f"factor targets {i},{j} collide after reduction")
 
 
-def _valuation(n: int, p: int) -> int:
-    if n == 0:
-        return 0
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+def _small_action(
+    i: int, j: int, mapped: list[NormalForm], components: list[Component],
+    rfactors: Factors, config: RunConfig, seed: int,
+) -> Component | None:
+    """A component induced from random fiber permutations on 2, 3, ...
+    points on which targets i and j get distinct orders and no distinct pair
+    merges, or None.  Lemma 1's wreath p-groups give two hyperbolic roots
+    the same order almost surely, and the Lemma 2 surgery inside Lemma 3
+    can grow without bound; a small symmetric fiber usually separates them."""
+    ga, gb = rfactors.groups()
+    rank = cartesian_basis(rfactors).rank
+    old = _orders_on(components, mapped)
+    before = _distinct_pairs(old)
+    rng = random.Random(seed)
+    for y in SMALL_FIBERS:
+        if ga.n * gb.n * y > config.max_vertices:
+            break
+        for _draw in range(SMALL_DRAWS):
+            psi = [Permutation(y, tuple(rng.sample(range(y), y))) for _ in range(rank)]
+            graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
+            new = {n: math.lcm(o, word_order(graph, mapped[n])) for n, o in old.items()}
+            after = _distinct_pairs(new)
+            if (i, j) in after and before <= after:
+                return Component(graph, None, f"small action on fiber {y}")
+    return None
 
 
 def assemble_certificate(

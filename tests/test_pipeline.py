@@ -232,6 +232,31 @@ class TestTheorem12:
         assert "repair-cross-class" in repair_stages(cert)
         assert verified(inst, cert).verdict
 
+    def test_cross_class_small_action(self, f23):
+        # ab2abab ab2 and b2aba both have order 1 on the factor product
+        # action; Lemma 3 on their roots ran Lemma 2 into unbounded surgery,
+        # a random action on a 3-point fiber tells them apart
+        b2 = (1, 2)
+        targets = [[A, b2, A, B, A, B, A, b2], [A, b2], [b2, A, B, A]]
+        inst = Instance(f23, [normalize(w, f23) for w in targets], "theorem12")
+        cert = separate(inst)
+        assert [c.graph.vcount for c in cert.components] == [6, 18]
+        assert repair_stages(cert) == ["repair-cross-class"]
+        assert len(set(cert.orders.values())) == 3
+        assert verified(inst, cert).verdict
+
+    def test_cross_class_falls_back_to_lemma3(self, f23, monkeypatch):
+        import ordersep.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        inst = Instance(f23, [ABAB2, power(AB, 6, f23)], "theorem12")
+        cert = separate(inst)
+        entry = next(t for t in cert.transcript if t["stage"] == "repair-cross-class")
+        assert "action" not in entry
+        assert len(cert.components) > 2
+        assert cert.orders[0] != cert.orders[1]
+        assert verified(inst, cert).verdict
+
     def test_short_word_subsets(self, f23):
         # every 1-3 element set of short words: the repair loop either
         # separates it or the hypothesis check rejects a conjugate pair
