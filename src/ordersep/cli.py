@@ -12,8 +12,10 @@ Exit codes: 0 success, 2 hypothesis violation, 3 budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
@@ -24,6 +26,7 @@ from .covergraph import (
     graph_to_dot,
     graph_to_json,
     synchronized_product,
+    word_order,
 )
 from .errors import OrderSepError, ParseError, PostconditionFailed
 from .lemmas import (
@@ -35,6 +38,7 @@ from .lemmas import (
 )
 from .pipeline import Instance, instance_to_json, parse_factors, parse_instance, separate
 from .verify import brute_force_search, verify_certificate
+from .words import normalize
 
 
 def _dump(data: dict) -> str:
@@ -57,7 +61,10 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: building it dominates a
+    short ``verify`` call, and parsing leaves no state in it."""
     parser = _Parser(prog="ordersep", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -98,8 +105,6 @@ def _apply_overrides(inst: Instance, args) -> Instance:
     if args.max_vertices is not None:
         updates["max_vertices"] = args.max_vertices
     if updates:
-        from dataclasses import replace
-
         config = replace(config, **updates)
     mode = args.mode if args.mode is not None else inst.mode
     return Instance(inst.factors, inst.targets, mode, config)
@@ -152,8 +157,6 @@ def _parse_lemma_common(data: dict):
 
 
 def _parse_words(raw, factors):
-    from .words import normalize
-
     return [normalize([(int(f), int(v)) for f, v in w], factors) for w in raw]
 
 
@@ -165,8 +168,6 @@ def _cmd_lemma(args, name: str) -> int:
         comp = lemma1_boost(
             targets, int(data["p"]), int(data["n"]), factors, seed=seed, config=config
         )
-        from .covergraph import word_order
-
         res = SeparationResult(
             [comp], {i: word_order(comp.graph, w) for i, w in enumerate(targets)}
         )

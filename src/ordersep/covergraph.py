@@ -14,6 +14,7 @@ preserves both graph properties and multiplies the vertex count by t.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -29,9 +30,20 @@ from .errors import (
     ParseError,
 )
 from .groupcore import FiniteGroup, Permutation, validate_group
-from .words import NormalForm, cartesian_basis, finite_factors, invert, is_cyclically_reduced, multiply, rewrite
+from .words import (
+    NormalForm,
+    cartesian_basis,
+    factor_image,
+    finite_factors,
+    invert,
+    is_cyclically_reduced,
+    multiply,
+    rewrite,
+)
 
 DEFAULT_MAX_VERTICES = 10 ** 6
+
+Move = tuple[int, tuple[tuple[int, int], ...]]  # (t', Cartesian-basis letters)
 
 
 @dataclass(eq=False)
@@ -375,6 +387,34 @@ def synchronized_product(
     return _checked(g)
 
 
+@functools.lru_cache(maxsize=64)
+def _induction_moves(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[tuple[Move, ...], ...], ...]:
+    """The fiber-free part of :func:`induced_graph`, per factor pair.
+
+    ``moves[f][c][t]`` is ``(t', letters)``: the syllable (f, c) takes the
+    transversal element t to the coset of t', with Schreier element
+    t * (f, c) * t'^-1 = ``letters`` over the Cartesian basis.  The result
+    is immutable, so the cache can hand it to every caller.
+    """
+    factors = finite_factors(a, b)
+    cb = cartesian_basis(factors)
+    moves = []
+    for f in (0, 1):
+        per_syllable = [()]
+        for c in range(1, (a, b)[f].n):
+            syllable = NormalForm(((f, c),))
+            row = []
+            for t_word in cb.transversal:
+                moved = multiply(t_word, syllable, factors)
+                ia, ib = factor_image(moved, factors)
+                t2_idx = ia * b.n + ib
+                gamma = multiply(moved, invert(cb.transversal[t2_idx], factors), factors)
+                row.append((t2_idx, tuple(rewrite(gamma, factors))))
+            per_syllable.append(tuple(row))
+        moves.append(tuple(per_syllable))
+    return tuple(moves)
+
+
 def induced_graph(
     a: FiniteGroup,
     b: FiniteGroup,
@@ -390,10 +430,9 @@ def induced_graph(
     coordinate has trivial direct-product image, so the kernel of the induced
     action lies in the Cartesian subgroup.
     """
-    factors = finite_factors(a, b)
-    cb = cartesian_basis(factors)
-    if len(psi) != cb.rank:
-        raise InternalError(f"psi has {len(psi)} entries, want rank {cb.rank}")
+    rank = (a.n - 1) * (b.n - 1)
+    if len(psi) != rank:
+        raise InternalError(f"psi has {len(psi)} entries, want rank {rank}")
     for perm in psi:
         if perm.degree != y_count:
             raise InternalError("fiber permutation degree mismatch")
@@ -405,33 +444,19 @@ def induced_graph(
     psi_inv_arrays = [np.array(p.inverse().map, dtype=np.int64) for p in psi]
     fiber_id = np.arange(y_count, dtype=np.int64)
 
-    def psihat(letters: list[tuple[int, int]]) -> np.ndarray:
+    def psihat(letters: tuple[tuple[int, int], ...]) -> np.ndarray:
         out = fiber_id
         for idx, exp in letters:
             out = (psi_arrays[idx] if exp > 0 else psi_inv_arrays[idx])[out]
         return out
 
-    n_trans = a.n * b.n
     new_acts = []
-    for f in (0, 1):
-        group = (a, b)[f]
-        arr = np.empty((group.n, v_new), dtype=np.int64)
+    for f, per_syllable in enumerate(_induction_moves(a, b)):
+        arr = np.empty((len(per_syllable), v_new), dtype=np.int64)
         arr[0] = np.arange(v_new, dtype=np.int64)
-        for c in range(1, group.n):
-            syllable = NormalForm(((f, c),))
-            for t_idx in range(n_trans):
-                t_word = cb.transversal[t_idx]
-                moved = multiply(t_word, syllable, factors)
-                ia, ib = 0, 0
-                for sf, sv in moved.syllables:
-                    if sf == 0:
-                        ia = a.mul(ia, sv)
-                    else:
-                        ib = b.mul(ib, sv)
-                t2_idx = ia * b.n + ib
-                gamma = multiply(moved, invert(cb.transversal[t2_idx], factors), factors)
-                fiber = psihat(rewrite(gamma, factors))
-                arr[c][t_idx * y_count + fiber_id] = t2_idx * y_count + fiber
+        for c in range(1, len(per_syllable)):
+            for t_idx, (t2_idx, letters) in enumerate(per_syllable[c]):
+                arr[c][t_idx * y_count + fiber_id] = t2_idx * y_count + psihat(letters)
         new_acts.append(arr)
     return _checked(
         CoverGraph(

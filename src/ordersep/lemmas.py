@@ -21,10 +21,10 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
-from sympy import factorint, isprime, nextprime
 
 from .config import RunConfig, sub_seed
 from .covergraph import (
@@ -92,10 +92,44 @@ class SeparationResult:
     transcript: list[dict] = field(default_factory=list)
 
 
+# Integer helpers.  Their arguments are word orders (lcms of cycle lengths on
+# at most ``max_vertices`` points), factor orders, exponents and small
+# primes, so trial division is enough.
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, math.isqrt(n) + 1))
+
+
+def factorization(n: int) -> dict[int, int]:
+    """{prime: exponent} of an integer n >= 1."""
+    out: dict[int, int] = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    return out
+
+
+def valuation(p: int, n: int) -> int:
+    """The exponent of the prime p in a nonzero integer n."""
+    if n == 0:
+        raise ValueError("valuation of 0")
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
 def fresh_prime(excluded) -> int:
+    """The least prime not in ``excluded``."""
     p = 2
-    while p in excluded:
-        p = int(nextprime(p))
+    while p in excluded or not is_prime(p):
+        p += 1
     return p
 
 
@@ -117,6 +151,15 @@ def _require_cartesian_targets(targets, factors: Factors) -> None:
 # prime-power boosting
 # ---------------------------------------------------------------------------
 
+def _exponent_sums_vanish(letters: list[tuple[int, int]], p: int) -> bool:
+    """Whether every basis letter's exponent sum in ``letters`` is 0 mod p,
+    i.e. the word is trivial in every abelian quotient of exponent p."""
+    sums: dict[int, int] = {}
+    for idx, exp in letters:
+        sums[idx] = sums.get(idx, 0) + exp
+    return all(s % p == 0 for s in sums.values())
+
+
 def lemma1_boost(
     targets: list[NormalForm],
     p: int,
@@ -136,7 +179,7 @@ def lemma1_boost(
     ``fiber_exponent`` forces a larger starting fiber.
     """
     config = config or RunConfig()
-    if not isprime(p):
+    if not is_prime(p):
         raise HypothesisViolation(f"{p} is not prime")
     if n_power < 0:
         raise HypothesisViolation("power threshold must be >= 0")
@@ -150,6 +193,12 @@ def lemma1_boost(
     m = max(n_power + 1, fiber_exponent or 0)
     while p ** m * ga.n * gb.n > config.max_vertices and m > n_power + 1:
         m -= 1
+    # on p points the wreath group is Z/p, where a word whose basis exponent
+    # sums all vanish mod p acts trivially, so that fiber level is dead
+    if m == 1 and p ** 2 * ga.n * gb.n <= config.max_vertices and any(
+        _exponent_sums_vanish(word_letters, p) for word_letters in letters
+    ):
+        m = 2
     attempts = 0
     while attempts < config.lemma1_attempts:
         if attempts and attempts % config.lemma1_grow_every == 0:
@@ -522,7 +571,7 @@ def lemma2_declose(
     rounds.  Fails over to fresh seeds, then reports the last witness.
     """
     config = config or RunConfig()
-    if not isprime(p):
+    if not is_prime(p):
         raise HypothesisViolation(f"{p} is not prime")
     _require_cartesian_targets(targets, factors)
     roots = [_root_data(u, factors) for u in targets]
@@ -815,7 +864,7 @@ def lemma3_separate(
         rho: set[int] = set()
         for comp in res_beta.components:
             for u in targets:
-                rho |= set(factorint(word_order(comp.graph, u)))
+                rho |= set(factorization(word_order(comp.graph, u)))
         res_alpha = lemma3_separate(
             [targets[i] for i in alpha], pi_beta | rho, factors,
             seed=sub_seed(seed, "l3-alpha", attempt), config=config,
@@ -884,8 +933,9 @@ def lemma4_power_separate(
     if len(set(magnitudes)) != len(magnitudes):
         raise HypothesisViolation("exponents share an absolute value")
 
-    product = math.prod(magnitudes)
-    valuations = factorint(product)
+    valuations: Counter[int] = Counter()  # of the product of the magnitudes
+    for k in magnitudes:
+        valuations.update(factorization(k))
     transcript: list[dict] = []
     components: list[Component] = []
     if not valuations:

@@ -9,8 +9,6 @@ import math
 import random
 from dataclasses import dataclass, field
 
-from sympy import factorint, multiplicity
-
 from .config import RunConfig, sub_seed
 from .covergraph import cayley_base, induced_graph, word_order
 from .errors import (
@@ -25,7 +23,7 @@ from .errors import (
     SharedFactorOrder,
 )
 from .groupcore import FactorHom, FiniteGroup, Permutation, cyclic_group, element_order, validate_group
-from .lemmas import Component, fresh_prime, lemma1_boost, lemma3_separate
+from .lemmas import Component, factorization, fresh_prime, lemma1_boost, lemma3_separate, valuation
 from .words import (
     FactorSpec,
     Factors,
@@ -439,7 +437,7 @@ def _primes_of_orders(components: list[Component], words: list[NormalForm]) -> s
     out: set[int] = set()
     for comp in components:
         for w in words:
-            out |= set(factorint(word_order(comp.graph, w)))
+            out |= set(factorization(word_order(comp.graph, w)))
     return out
 
 
@@ -523,7 +521,7 @@ def _repair_pair(
     in_i, in_j = i in root_of, j in root_of
     used = _primes_of_orders(components, mapped)
     ga, gb = rfactors.groups()
-    used |= set(factorint(ga.n)) | set(factorint(gb.n))
+    used |= set(factorization(ga.n)) | set(factorization(gb.n))
     if in_i and in_j and root_of[i] == root_of[j]:
         cls = classes[root_of[i]]
         data = {idx: (k, l) for idx, k, l in cls.members}
@@ -532,13 +530,13 @@ def _repair_pair(
             raise InternalError("same-class pair with matching power profile")
         p = 2
         while (
-            multiplicity(p, li) - multiplicity(p, abs(ki))
-            == multiplicity(p, lj) - multiplicity(p, abs(kj))
+            valuation(p, li) - valuation(p, abs(ki))
+            == valuation(p, lj) - valuation(p, abs(kj))
         ):
             p = fresh_prime(set(range(2, p + 1)))
         ceiling = max(
-            multiplicity(p, word_order(c.graph, cls.root)) for c in components
-        ) + max(multiplicity(p, abs(ki)), multiplicity(p, abs(kj))) + 1
+            valuation(p, word_order(c.graph, cls.root)) for c in components
+        ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
         comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
         transcript.append({"stage": "repair-same-class", "pair": [i, j], "prime": p})
         return [comp]
@@ -559,7 +557,7 @@ def _repair_pair(
         k = next(k for member, k, _l in cls.members if member == idx)
         p = fresh_prime(used)
         # the target powers into root^k: p divides its order once the root's exceeds k's p-part
-        comp = lemma1_boost([cls.root], p, multiplicity(p, abs(k)), rfactors, seed=seed, config=config)
+        comp = lemma1_boost([cls.root], p, valuation(p, abs(k)), rfactors, seed=seed, config=config)
         transcript.append({"stage": "repair-vs-factor", "pair": [i, j], "prime": p})
         return [comp]
     raise InternalError(f"factor targets {i},{j} collide after reduction")

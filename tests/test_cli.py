@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ordersep.cli import run_cli
+from ordersep.cli import _build_parser, run_cli
 from ordersep.groupcore import cyclic_group
 
 Z2 = [[0, 1], [1, 0]]
@@ -89,6 +89,35 @@ class TestSeparate:
             assert run_cli(["separate", inst, "--seed", "7", "--out", str(out)]) == 0
             outs.append(out.read_bytes())
         assert outs[0] == outs[1]
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_fresh_one(self, tmp_path, capsys):
+        # b and (ab)^2 collide on the base action; the repair's Lemma 1
+        # component depends on the seed and needs more than 50 vertices
+        vs_factor = [[[1, 1]], [[0, 1], [1, 1], [0, 1], [1, 1]]]
+        inst = write(tmp_path, "inst.json", instance_z2z3(vs_factor, config={"lemma1_attempts": 200}))
+        calls = [
+            ["separate", inst, "--seed", "7"],
+            ["separate", inst],
+            ["separate", inst, "--seed", "x", "--max-vertices", "3"],
+            ["--json", "separate", inst, "--max-vertices", "50"],
+        ]
+
+        def run(argv, out):
+            code = run_cli(argv + ["--out", str(out)])
+            return code, out.read_bytes() if out.exists() else None, capsys.readouterr().err
+
+        fresh = []
+        for n, argv in enumerate(calls):
+            _build_parser.cache_clear()
+            fresh.append(run(argv, tmp_path / f"fresh{n}.json"))
+        reused = [run(argv, tmp_path / f"reused{n}.json") for n, argv in enumerate(calls)]
+        assert _build_parser.cache_info().hits == len(calls)
+        assert reused == fresh
+        assert [code for code, _cert, _err in reused] == [0, 0, 5, 3]
+        assert reused[0][1] != reused[1][1]  # a leaked --seed would show
+        assert json.loads(reused[3][2])["error"] == "SearchBudgetExceeded"
 
 
 class TestVerifyCommand:

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -6,9 +7,17 @@ import numpy as np
 import pytest
 
 from ordersep.errors import BudgetExceeded, ConflictingMarks, FactorElement, ParseError
-from ordersep.groupcore import Permutation, element_order, perm_order, random_wreath_element
+from ordersep.groupcore import (
+    Permutation,
+    cyclic_group,
+    element_order,
+    perm_order,
+    random_wreath_element,
+    validate_group,
+)
 from ordersep.covergraph import (
     CoverGraph,
+    _induction_moves,
     SurgeryMark,
     cayley_base,
     close_edge_scan,
@@ -26,7 +35,17 @@ from ordersep.covergraph import (
     word_permutation,
     x_cycles,
 )
-from ordersep.words import IDENTITY, NormalForm, cartesian_basis, normalize
+from ordersep.words import (
+    IDENTITY,
+    NormalForm,
+    cartesian_basis,
+    factor_image,
+    finite_factors,
+    invert,
+    multiply,
+    normalize,
+    rewrite,
+)
 
 from test_words import random_word
 
@@ -363,6 +382,71 @@ class TestInducedGraph:
             u = random_word(f23, rng, 5)
             if not in_cartesian(u, f23):
                 assert word_order(g, u) > 1
+
+
+def _s3():
+    perms = sorted(itertools.permutations(range(3)), key=lambda p: (p != (0, 1, 2), p))
+    idx = {p: i for i, p in enumerate(perms)}
+    return validate_group([[idx[tuple(q[i] for i in p)] for q in perms] for p in perms])
+
+
+FACTOR_PAIRS = [
+    (cyclic_group(2), cyclic_group(3)),
+    (cyclic_group(3), cyclic_group(4)),
+    (_s3(), cyclic_group(5)),
+]
+
+
+class TestInductionCache:
+    def _draw(self, a, b, y, rng):
+        rank = (a.n - 1) * (b.n - 1)
+        return [Permutation(y, tuple(rng.sample(range(y), y))) for _ in range(rank)]
+
+    def test_cold_and_warm_cache_agree(self):
+        rng = random.Random(21)
+        draws = [(a, b, y, self._draw(a, b, y, rng)) for y in (2, 3) for a, b in FACTOR_PAIRS]
+        _induction_moves.cache_clear()
+        cold = [induced_graph(a, b, y, psi) for a, b, y, psi in draws]
+        assert _induction_moves.cache_info().misses == len(FACTOR_PAIRS)
+        warm = [induced_graph(a, b, y, psi) for a, b, y, psi in reversed(draws)]
+        assert all(graphs_equal(g, h) for g, h in zip(cold, reversed(warm)))
+
+    @pytest.mark.parametrize("pair", range(len(FACTOR_PAIRS)))
+    def test_moves_are_schreier_rewrites(self, pair):
+        a, b = FACTOR_PAIRS[pair]
+        factors = finite_factors(a, b)
+        transversal = cartesian_basis(factors).transversal
+        moves = _induction_moves(a, b)
+        for f, group in enumerate((a, b)):
+            assert len(moves[f]) == group.n
+            for c in range(1, group.n):
+                for t_idx, (t2_idx, letters) in enumerate(moves[f][c]):
+                    moved = multiply(transversal[t_idx], NormalForm(((f, c),)), factors)
+                    assert factor_image(moved, factors) == divmod(t2_idx, b.n)
+                    gamma = multiply(moved, invert(transversal[t2_idx], factors), factors)
+                    assert list(letters) == rewrite(gamma, factors)
+
+    @pytest.mark.parametrize("pair", range(len(FACTOR_PAIRS)))
+    def test_graph_matches_direct_induction(self, pair):
+        # vertex (t, y) goes to (t', y * psihat(letters)) under each syllable
+        a, b = FACTOR_PAIRS[pair]
+        factors = finite_factors(a, b)
+        transversal = cartesian_basis(factors).transversal
+        y = 3
+        psi = self._draw(a, b, y, random.Random(pair))
+        g = induced_graph(a, b, y, psi)
+        for f, group in enumerate((a, b)):
+            for c in range(1, group.n):
+                for t_idx, t_word in enumerate(transversal):
+                    moved = multiply(t_word, NormalForm(((f, c),)), factors)
+                    ia, ib = factor_image(moved, factors)
+                    t2_idx = ia * b.n + ib
+                    gamma = multiply(moved, invert(transversal[t2_idx], factors), factors)
+                    for fiber in range(y):
+                        point = fiber
+                        for idx, exp in rewrite(gamma, factors):
+                            point = (psi[idx] if exp > 0 else psi[idx].inverse())(point)
+                        assert g.acts[f][c][t_idx * y + fiber] == t2_idx * y + point
 
 
 class TestGraphIO:

@@ -5,15 +5,23 @@ Every top-level import is referenced: a name bound by a top-level ``import``
 must occur as a name somewhere in the module, or be listed in its
 ``__all__``.  The verifier stays independent of construction: ``verify``
 imports no package module but ``errors``, and no construction module
-imports ``verify``.
+imports ``verify``.  The third-party modules the package imports are
+exactly the dependencies ``pyproject.toml`` declares, and importing the CLI
+loads no heavy package it does not need.
 """
 
 import ast
+import os
+import re
+import subprocess
+import sys
+import tomllib
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ordersep"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ordersep"
 
 
 def _imported_names(tree: ast.Module) -> list[str]:
@@ -62,3 +70,26 @@ def test_verifier_imports_only_errors():
 @pytest.mark.parametrize("name", ["pipeline", "lemmas", "covergraph", "groupcore", "words"])
 def test_construction_does_not_import_verifier(name):
     assert "verify" not in _package_imports(PACKAGE / f"{name}.py")
+
+
+def test_third_party_imports_are_the_declared_dependencies():
+    imported = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"ordersep"}
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
+    assert third_party == declared == {"numpy"}
+
+
+def test_cli_import_leaves_sympy_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, ordersep.cli; print('sympy' in sys.modules)"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "False"

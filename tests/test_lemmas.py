@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from sympy import factorint
+from hypothesis import given, strategies as st
 
 from ordersep.config import RunConfig
 from ordersep.covergraph import close_edge_scan, word_order, word_perm_array, x_cycles
@@ -10,14 +10,17 @@ from ordersep.groupcore import element_order
 from ordersep.lemmas import (
     Component,
     connecting_words,
+    factorization,
     fresh_prime,
+    is_prime,
     is_prime_power,
     lemma1_boost,
     lemma2_declose,
     lemma3_separate,
     lemma4_power_separate,
+    valuation,
 )
-from ordersep.words import NormalForm, normalize, power
+from ordersep.words import NormalForm, invert, multiply, normalize, power
 
 A = (0, 1)
 B = (1, 1)
@@ -36,6 +39,54 @@ def test_fresh_prime():
 def test_is_prime_power():
     assert is_prime_power(8, 2) and is_prime_power(1, 5)
     assert not is_prime_power(12, 2)
+
+
+SIEVE_LIMIT = 10 ** 4
+
+
+def _sieve(limit: int) -> list[bool]:
+    prime = [False, False] + [True] * (limit - 1)
+    for d in range(2, limit + 1):
+        if prime[d]:
+            for multiple in range(d * d, limit + 1, d):
+                prime[multiple] = False
+    return prime
+
+
+SIEVE = _sieve(SIEVE_LIMIT)
+PRIMES = [n for n in range(SIEVE_LIMIT + 1) if SIEVE[n]]
+
+
+class TestIntegerHelpers:
+    def test_is_prime_agrees_with_sieve(self):
+        assert [n for n in range(-3, SIEVE_LIMIT + 1) if is_prime(n)] == PRIMES
+
+    @given(st.integers(1, 10 ** 9))
+    def test_factorization_multiplies_back(self, n):
+        factors = factorization(n)
+        assert math.prod(p ** e for p, e in factors.items()) == n
+        for p, e in factors.items():
+            assert is_prime(p) and e >= 1 and valuation(p, n) == e
+
+    @given(st.sampled_from(PRIMES[:50]), st.integers(0, 12), st.integers(-10 ** 6, 10 ** 6))
+    def test_valuation(self, p, k, m):
+        if m % p == 0:
+            m += 1
+        assert valuation(p, p ** k * m) == k
+
+    def test_valuation_of_zero_rejected(self):
+        with pytest.raises(ValueError):
+            valuation(3, 0)
+
+    @given(st.integers(0, SIEVE_LIMIT // 2))
+    def test_next_prime_is_least_prime_above(self, n):
+        q = fresh_prime(set(range(2, n + 1)))
+        assert q > n and SIEVE[q]
+        assert not any(SIEVE[r] for r in range(n + 1, q))
+
+    @given(st.sets(st.sampled_from(PRIMES[:30]), max_size=29))
+    def test_fresh_prime_is_least_prime_not_excluded(self, excluded):
+        assert fresh_prime(excluded) == min(set(PRIMES) - excluded)
 
 
 class TestLemma1:
@@ -78,6 +129,24 @@ class TestLemma1:
         for w in (ABAB2, AB2AB):
             o = word_order(comp.graph, w)
             assert o > 2 and is_prime_power(o, 2)
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_dead_fiber_level_skipped(self, f23, p, seed):
+        # the commutator of the two basis generators has exponent sums 0, so
+        # it acts trivially on p fiber points, where the wreath group is Z/p
+        comm = multiply(
+            multiply(ABAB2, AB2AB, f23), multiply(invert(ABAB2, f23), invert(AB2AB, f23), f23), f23
+        )
+        comp = lemma1_boost([comm], p, 0, f23, seed=seed)
+        attempt = int(comp.note.rsplit("attempt ", 1)[1].rstrip(")"))
+        assert f"fiber {p * p}," in comp.note and attempt <= 5
+        o = word_order(comp.graph, comm)
+        assert o > 1 and is_prime_power(o, p)
+
+    def test_live_fiber_level_kept(self, f23):
+        comp = lemma1_boost([ABAB2], 5, 0, f23, seed=0)
+        assert "fiber 5," in comp.note
 
 
 class TestConnectingWords:
