@@ -1,10 +1,12 @@
 """Finite labelled graphs carrying one free action per factor.
 
-A graph is stored as its actions: ``acts[f]`` has shape ``(n_f, V)`` with
-``acts[f][c][v]`` the endpoint of the c-labelled edge out of v.  Under the
-graph invariants each nonidentity label acts by a fixed-point-free bijection
-and the labels of one factor compose by the factor's multiplication, so every
-factor component is a copy of that factor's Cayley graph.
+A graph is stored as its actions: ``acts[f]`` is a tuple of ``n_f`` rows,
+each a tuple of ``V`` ints, with ``acts[f][c][v]`` the endpoint of the
+c-labelled edge out of v.  Rows are immutable, so no caller can change a
+graph (or its cached orbits) behind its back.  Under the graph invariants
+each nonidentity label acts by a fixed-point-free bijection and the labels
+of one factor compose by the factor's multiplication, so every factor
+component is a copy of that factor's Cayley graph.
 
 The t-fold surgery construction takes marked vertices with a factor choice
 each; edges of the marked factor incident to a mark are rewired across the t
@@ -16,10 +18,9 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
-
-import numpy as np
+from typing import Iterator, Sequence
 
 from .errors import (
     BudgetExceeded,
@@ -44,28 +45,30 @@ from .words import (
 DEFAULT_MAX_VERTICES = 10 ** 6
 
 Move = tuple[int, tuple[tuple[int, int], ...]]  # (t', Cartesian-basis letters)
+Rows = tuple[tuple[int, ...], ...]  # acts[f]: one row per factor element
 
 
 @dataclass(eq=False)
 class CoverGraph:
     factors: tuple[FiniteGroup, FiniteGroup]
-    acts: tuple[np.ndarray, np.ndarray]
+    acts: tuple[Rows, Rows]
     provenance: str = "base"
     basepoint: int = 0
     _orbit_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def vcount(self) -> int:
-        return int(self.acts[0].shape[1])
+        return len(self.acts[0][0])
 
-    def factor_orbits(self, f: int) -> np.ndarray:
+    def factor_orbits(self, f: int) -> list[int]:
         """Label each vertex by the least vertex of its factor-f component."""
         if f not in self._orbit_cache:
-            arr = self.acts[f]
-            labels = np.full(self.vcount, -1, dtype=np.int64)
+            rows = self.acts[f]
+            labels = [-1] * self.vcount
             for v in range(self.vcount):
                 if labels[v] < 0:
-                    labels[arr[:, v]] = v
+                    for row in rows:
+                        labels[row[v]] = v
             self._orbit_cache[f] = labels
         return self._orbit_cache[f]
 
@@ -95,28 +98,33 @@ class SurgeryMark:
 
 def validate_cover(g: CoverGraph) -> CoverReport:
     """Check label bijectivity, factor freeness, and the composition law."""
-    v_range = np.arange(g.vcount, dtype=np.int64)
+    identity = tuple(range(g.vcount))
+    vertices = set(identity)
     for f in (0, 1):
         group = g.factors[f]
-        arr = g.acts[f]
-        if arr.shape != (group.n, g.vcount):
-            return CoverReport(False, "shape", (f, arr.shape))
-        if not np.array_equal(arr[0], v_range):
+        rows = g.acts[f]
+        shape = tuple(len(row) for row in rows)
+        if shape != (g.vcount,) * group.n:
+            return CoverReport(False, "shape", (f, shape))
+        if tuple(rows[0]) != identity:
             return CoverReport(False, "identity action", (f,))
         for c in range(1, group.n):
-            if arr[c].min(initial=0) < 0 or arr[c].max(initial=0) >= g.vcount:
-                return CoverReport(False, "property (1)", (f, c, "target out of range"))
-            counts = np.bincount(arr[c], minlength=g.vcount)
-            if counts.max(initial=0) != 1:
-                bad = int(np.flatnonzero(counts != 1)[0])
+            row = rows[c]
+            targets = set(row)
+            if targets != vertices:
+                if not targets <= vertices:
+                    return CoverReport(False, "property (1)", (f, c, "target out of range"))
+                hits = [0] * g.vcount
+                for x in row:
+                    hits[x] += 1
+                bad = next(v for v, k in enumerate(hits) if k != 1)
                 return CoverReport(False, "property (1)", (f, c, bad))
-            fixed = np.flatnonzero(arr[c] == v_range)
-            if fixed.size:
-                return CoverReport(False, "freeness", (f, c, int(fixed[0])))
+            fixed = next((v for v, x in enumerate(row) if x == v), None)
+            if fixed is not None:
+                return CoverReport(False, "freeness", (f, c, fixed))
         for c in range(1, group.n):
             for d in range(1, group.n):
-                expected = arr[group.mul(c, d)]
-                if not np.array_equal(arr[d][arr[c]], expected):
+                if tuple(map(rows[d].__getitem__, rows[c])) != tuple(rows[group.mul(c, d)]):
                     return CoverReport(False, "group law", (f, c, d))
     return CoverReport(True)
 
@@ -134,53 +142,42 @@ def cayley_base(a: FiniteGroup, b: FiniteGroup, max_vertices: int = DEFAULT_MAX_
     na, nb = a.n, b.n
     if na * nb > max_vertices:
         raise BudgetExceeded(f"{na * nb} vertices over budget {max_vertices}")
-    ta = np.array(a.table, dtype=np.int64)
-    tb = np.array(b.table, dtype=np.int64)
-    cols = np.arange(nb, dtype=np.int64)
-    rows = np.arange(na, dtype=np.int64)
-    acts0 = np.empty((na, na * nb), dtype=np.int64)
-    acts1 = np.empty((nb, na * nb), dtype=np.int64)
-    for c in range(na):
-        acts0[c] = (ta[:, c][:, None] * nb + cols[None, :]).reshape(-1)
-    for c in range(nb):
-        acts1[c] = (rows[:, None] * nb + tb[:, c][None, :]).reshape(-1)
+    acts0 = tuple(
+        tuple(a.table[x][c] * nb + y for x in range(na) for y in range(nb)) for c in range(na)
+    )
+    acts1 = tuple(
+        tuple(x * nb + b.table[y][c] for x in range(na) for y in range(nb)) for c in range(nb)
+    )
     return _checked(CoverGraph((a, b), (acts0, acts1), provenance="base"))
 
 
-def word_perm_array(g: CoverGraph, w: NormalForm) -> np.ndarray:
-    """The permutation v -> v*w as an index array."""
-    p = np.arange(g.vcount, dtype=np.int64)
+def word_perm_array(g: CoverGraph, w: NormalForm) -> tuple[int, ...]:
+    """The permutation v -> v*w as an index tuple."""
+    p = tuple(range(g.vcount))
     for f, v in w.syllables:
-        p = g.acts[f][v][p]
+        p = tuple(map(g.acts[f][v].__getitem__, p))
     return p
 
 
 def word_permutation(g: CoverGraph, w: NormalForm) -> Permutation:
-    return Permutation(g.vcount, tuple(int(x) for x in word_perm_array(g, w)))
+    return Permutation(g.vcount, word_perm_array(g, w))
 
 
-def perm_array_order(p: np.ndarray) -> int:
+def perm_array_order(p: Sequence[int]) -> int:
     """lcm of cycle lengths of an index-array permutation."""
-    n = len(p)
-    seen = np.zeros(n, dtype=bool)
+    seen = bytearray(len(p))
     order = 1
-    for start in range(n):
+    for start in range(len(p)):
         if seen[start]:
             continue
         length = 0
         cur = start
         while not seen[cur]:
-            seen[cur] = True
-            cur = int(p[cur])
+            seen[cur] = 1
+            cur = p[cur]
             length += 1
-        order = order * length // _gcd(order, length)
+        order = math.lcm(order, length)
     return order
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def word_order(g: CoverGraph, w: NormalForm) -> int:
@@ -194,12 +191,35 @@ def _require_hyperbolic(x: NormalForm) -> None:
         raise NotCyclicallyReduced(x.syllables)
 
 
-def _walk_prefixes(g: CoverGraph, x: NormalForm) -> list[np.ndarray]:
+def _walk_prefixes(g: CoverGraph, x: NormalForm) -> list[Sequence[int]]:
     """prefix[t][v] = v * (first t syllables of x), for t = 0..len(x)-1."""
-    prefixes = [np.arange(g.vcount, dtype=np.int64)]
+    prefixes: list[Sequence[int]] = [range(g.vcount)]
     for f, v in x.syllables[:-1]:
-        prefixes.append(g.acts[f][v][prefixes[-1]])
+        prefixes.append(tuple(map(g.acts[f][v].__getitem__, prefixes[-1])))
     return prefixes
+
+
+def cycle_walks(g: CoverGraph, x: NormalForm) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield (orbit, walk) for each orbit of the x-action, by least vertex.
+
+    ``orbit`` lists the orbit from its least vertex on; ``walk`` lists the
+    start vertex of every edge of the closed path spelling x^k from there,
+    so the edge at position i carries the label of syllable i mod len(x).
+    """
+    perm = word_perm_array(g, x)
+    prefixes = _walk_prefixes(g, x)
+    seen = bytearray(g.vcount)
+    for base in range(g.vcount):
+        if seen[base]:
+            continue
+        orbit = [base]
+        seen[base] = 1
+        cur = perm[base]
+        while cur != base:
+            orbit.append(cur)
+            seen[cur] = 1
+            cur = perm[cur]
+        yield orbit, [prefix[v] for v in orbit for prefix in prefixes]
 
 
 def x_cycles(g: CoverGraph, x: NormalForm) -> list[XCycle]:
@@ -209,35 +229,16 @@ def x_cycles(g: CoverGraph, x: NormalForm) -> list[XCycle]:
     factor component; repeated traversals of one edge do not count.
     """
     _require_hyperbolic(x)
-    perm = word_perm_array(g, x)
-    prefixes = _walk_prefixes(g, x)
     orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
     syl = x.syllables
     out = []
-    seen = np.zeros(g.vcount, dtype=bool)
-    for base in range(g.vcount):
-        if seen[base]:
-            continue
-        orbit = [base]
-        cur = int(perm[base])
-        while cur != base:
-            orbit.append(cur)
-            cur = int(perm[cur])
-        seen[np.array(orbit)] = True
-        steps = []
-        for v in orbit:
-            for t, (f, val) in enumerate(syl):
-                steps.append((int(prefixes[t][v]), f, val))
+    for orbit, walk in cycle_walks(g, x):
+        steps = tuple(
+            (start, f, val) for start, (f, val) in zip(walk, syl * len(orbit))
+        )
         edges = set(steps)
-        keys = {}
-        close = False
-        for start, f, val in edges:
-            key = (f, int(orbit_labels[f][start]))
-            if key in keys:
-                close = True
-                break
-            keys[key] = (start, f, val)
-        out.append(XCycle(base, len(orbit), tuple(steps), close))
+        close = len({(f, orbit_labels[f][start]) for start, f, _val in edges}) < len(edges)
+        out.append(XCycle(orbit[0], len(orbit), steps, close))
     return out
 
 
@@ -247,31 +248,18 @@ def close_edge_scan(g: CoverGraph, x: NormalForm) -> tuple | None:
     Returns (base, edge1, edge2) with the two distinct offending edges.
     """
     _require_hyperbolic(x)
-    perm = word_perm_array(g, x)
-    prefixes = _walk_prefixes(g, x)
     orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
     syl = x.syllables
-    seen = np.zeros(g.vcount, dtype=bool)
-    for base in range(g.vcount):
-        if seen[base]:
-            continue
-        orbit = [base]
-        cur = int(perm[base])
-        while cur != base:
-            orbit.append(cur)
-            cur = int(perm[cur])
-        seen[np.array(orbit)] = True
+    for orbit, walk in cycle_walks(g, x):
         keys: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for v in orbit:
-            for t, (f, val) in enumerate(syl):
-                start = int(prefixes[t][v])
-                edge = (start, f, val)
-                key = (f, int(orbit_labels[f][start]))
-                prev = keys.get(key)
-                if prev is None:
-                    keys[key] = edge
-                elif prev != edge:
-                    return (base, prev, edge)
+        for start, (f, val) in zip(walk, syl * len(orbit)):
+            edge = (start, f, val)
+            key = (f, orbit_labels[f][start])
+            prev = keys.get(key)
+            if prev is None:
+                keys[key] = edge
+            elif prev != edge:
+                return (orbit[0], prev, edge)
     return None
 
 
@@ -296,7 +284,7 @@ def gamma_surgery(
     for mark in marks:
         if not (0 <= mark.vertex < v_old) or mark.factor not in (0, 1):
             raise ConflictingMarks(f"bad mark {mark}")
-        key = (mark.factor, int(g.factor_orbits(mark.factor)[mark.vertex]))
+        key = (mark.factor, g.factor_orbits(mark.factor)[mark.vertex])
         if key in used:
             raise ConflictingMarks(f"two marks share factor component {key}")
         used.add(key)
@@ -304,20 +292,21 @@ def gamma_surgery(
     new_acts = []
     for f in (0, 1):
         group = g.factors[f]
-        arr = np.empty((group.n, t * v_old), dtype=np.int64)
-        arr[0] = np.arange(t * v_old, dtype=np.int64)
+        rows = [tuple(range(t * v_old))]
         for c in range(1, group.n):
             m = g.acts[f][c]
-            shift = np.zeros(v_old, dtype=np.int64)
-            inv_m = np.empty(v_old, dtype=np.int64)
-            inv_m[m] = np.arange(v_old, dtype=np.int64)
+            shift: dict[int, int] = {}
             for mark in marks:
                 if mark.factor == f:
-                    shift[mark.vertex] += 1
-                    shift[inv_m[mark.vertex]] -= 1
-            layers = (np.arange(t, dtype=np.int64)[:, None] + shift[None, :]) % t
-            arr[c] = (layers * v_old + m[None, :]).reshape(-1)
-        new_acts.append(arr)
+                    source = g.acts[f][group.inv[c]][mark.vertex]  # the edge into the mark
+                    shift[mark.vertex] = shift.get(mark.vertex, 0) + 1
+                    shift[source] = shift.get(source, 0) - 1
+            row = [layer * v_old + x for layer in range(t) for x in m]
+            for v, s in shift.items():
+                for layer in range(t):
+                    row[layer * v_old + v] = (layer + s) % t * v_old + m[v]
+            rows.append(tuple(row))
+        new_acts.append(tuple(rows))
     return _checked(
         CoverGraph(
             g.factors,
@@ -339,14 +328,13 @@ def synchronized_product(
     if g1.factors[0].table != g2.factors[0].table or g1.factors[1].table != g2.factors[1].table:
         raise InternalError("product factors disagree")
     v1, v2 = g1.vcount, g2.vcount
+    if not (0 <= base[0] < v1 and 0 <= base[1] < v2):
+        raise ParseError(f"product base {base} outside {v1} x {v2} vertices")
     if v1 * v2 <= max_vertices:
-        new_acts = []
-        for f in (0, 1):
-            n = g1.factors[f].n
-            arr = np.empty((n, v1 * v2), dtype=np.int64)
-            for c in range(n):
-                arr[c] = (g1.acts[f][c][:, None] * v2 + g2.acts[f][c][None, :]).reshape(-1)
-            new_acts.append(arr)
+        new_acts = tuple(
+            tuple(tuple(x * v2 + y for x in r1 for y in r2) for r1, r2 in zip(g1.acts[f], g2.acts[f]))
+            for f in (0, 1)
+        )
         g = CoverGraph(
             g1.factors,
             (new_acts[0], new_acts[1]),
@@ -356,29 +344,26 @@ def synchronized_product(
         return _checked(g)
 
     # component of the base pair under the diagonal action
-    moves = [(f, c) for f in (0, 1) for c in range(1, g1.factors[f].n)]
+    moves = [(g1.acts[f][c], g2.acts[f][c]) for f in (0, 1) for c in range(1, g1.factors[f].n)]
     ids: dict[tuple[int, int], int] = {base: 0}
     order: list[tuple[int, int]] = [base]
     head = 0
     while head < len(order):
         p1, p2 = order[head]
         head += 1
-        for f, c in moves:
-            q = (int(g1.acts[f][c][p1]), int(g2.acts[f][c][p2]))
+        for r1, r2 in moves:
+            q = (r1[p1], r2[p2])
             if q not in ids:
                 if len(ids) >= max_vertices:
                     raise BudgetExceeded(f"product component over budget {max_vertices}")
                 ids[q] = len(order)
                 order.append(q)
-    size = len(order)
     new_acts = []
     for f in (0, 1):
-        n = g1.factors[f].n
-        arr = np.empty((n, size), dtype=np.int64)
-        arr[0] = np.arange(size, dtype=np.int64)
-        for c in range(1, n):
-            arr[c] = [ids[(int(g1.acts[f][c][p1]), int(g2.acts[f][c][p2]))] for p1, p2 in order]
-        new_acts.append(arr)
+        rows = [tuple(range(len(order)))]
+        for r1, r2 in zip(g1.acts[f][1:], g2.acts[f][1:]):
+            rows.append(tuple(ids[(r1[p1], r2[p2])] for p1, p2 in order))
+        new_acts.append(tuple(rows))
     g = CoverGraph(
         g1.factors,
         (new_acts[0], new_acts[1]),
@@ -440,24 +425,26 @@ def induced_graph(
     if v_new > max_vertices:
         raise BudgetExceeded(f"{v_new} vertices over budget {max_vertices}")
 
-    psi_arrays = [np.array(p.map, dtype=np.int64) for p in psi]
-    psi_inv_arrays = [np.array(p.inverse().map, dtype=np.int64) for p in psi]
-    fiber_id = np.arange(y_count, dtype=np.int64)
+    maps = [p.map for p in psi]
+    inverse_maps = [p.inverse().map for p in psi]
 
-    def psihat(letters: tuple[tuple[int, int], ...]) -> np.ndarray:
-        out = fiber_id
+    def psihat(letters: tuple[tuple[int, int], ...]) -> Sequence[int]:
+        out: Sequence[int] = range(y_count)
         for idx, exp in letters:
-            out = (psi_arrays[idx] if exp > 0 else psi_inv_arrays[idx])[out]
+            out = tuple(map((maps[idx] if exp > 0 else inverse_maps[idx]).__getitem__, out))
         return out
 
     new_acts = []
-    for f, per_syllable in enumerate(_induction_moves(a, b)):
-        arr = np.empty((len(per_syllable), v_new), dtype=np.int64)
-        arr[0] = np.arange(v_new, dtype=np.int64)
-        for c in range(1, len(per_syllable)):
-            for t_idx, (t2_idx, letters) in enumerate(per_syllable[c]):
-                arr[c][t_idx * y_count + fiber_id] = t2_idx * y_count + psihat(letters)
-        new_acts.append(arr)
+    for per_syllable in _induction_moves(a, b):
+        rows = [tuple(range(v_new))]
+        for moves in per_syllable[1:]:
+            row: list[int] = []
+            # transversal element t fills positions t*y .. t*y + y - 1, in order
+            for t2_idx, letters in moves:
+                offset = t2_idx * y_count
+                row.extend([offset + point for point in psihat(letters)])
+            rows.append(tuple(row))
+        new_acts.append(tuple(rows))
     return _checked(
         CoverGraph(
             (a, b),
@@ -467,22 +454,12 @@ def induced_graph(
     )
 
 
-def graphs_equal(g1: CoverGraph, g2: CoverGraph) -> bool:
-    return (
-        g1.factors[0].table == g2.factors[0].table
-        and g1.factors[1].table == g2.factors[1].table
-        and g1.vcount == g2.vcount
-        and np.array_equal(g1.acts[0], g2.acts[0])
-        and np.array_equal(g1.acts[1], g2.acts[1])
-    )
-
-
 def graph_to_json(g: CoverGraph) -> dict:
     return {
         "vcount": g.vcount,
         "factors": [[list(row) for row in g.factors[f].table] for f in (0, 1)],
         "action": [
-            [[int(g.acts[f][c][v]) for c in range(1, g.factors[f].n)] for v in range(g.vcount)]
+            [list(labels) for labels in zip(*g.acts[f][1:])] or [[] for _ in range(g.vcount)]
             for f in (0, 1)
         ],
     }
@@ -495,17 +472,16 @@ def graph_from_json(data: dict) -> CoverGraph:
         acts = []
         for f in (0, 1):
             n = groups[f].n
-            arr = np.empty((n, vcount), dtype=np.int64)
-            arr[0] = np.arange(vcount, dtype=np.int64)
             rows = data["action"][f]
             if len(rows) != vcount:
                 raise ParseError(f"action[{f}] has {len(rows)} rows, want {vcount}")
             for v, row in enumerate(rows):
                 if len(row) != n - 1:
                     raise ParseError(f"action[{f}][{v}] has wrong width")
-                for c in range(1, n):
-                    arr[c][v] = int(row[c - 1])
-            acts.append(arr)
+            acts.append(
+                (tuple(range(vcount)),)
+                + tuple(tuple(int(row[c - 1]) for row in rows) for c in range(1, n))
+            )
         g = CoverGraph((groups[0], groups[1]), (acts[0], acts[1]))
     except ParseError:
         raise
@@ -525,7 +501,7 @@ def graph_to_dot(g: CoverGraph) -> str:
         for c in range(1, g.factors[f].n):
             arr = g.acts[f][c]
             for v in range(g.vcount):
-                lines.append(f'  n{v} -> n{int(arr[v])} [label="f{f}:{c}"];')
+                lines.append(f'  n{v} -> n{arr[v]} [label="f{f}:{c}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 

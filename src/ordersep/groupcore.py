@@ -17,7 +17,6 @@ from .errors import BudgetExceeded, NotAGroup, NotNormal
 ASSOC_EXHAUSTIVE_BOUND = 64
 ASSOC_RANDOM_SAMPLES = 10_000
 NORMAL_SUBGROUP_BOUND = 128
-WREATH_POINT_BOUND = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -324,28 +323,6 @@ def quotient(group: FiniteGroup, subset: Iterable[int]) -> tuple[FiniteGroup, Fa
     return q, hom
 
 
-def wreath_p_group(p: int, m: int) -> list[Permutation]:
-    """Generators of the m-fold iterated wreath power of the cyclic group of
-    order p, acting on p^m points (a Sylow p-subgroup of the symmetric group).
-
-    Generator k cycles the depth-k blocks under the leftmost branch; the
-    product of all generators has order p^m.
-    """
-    points = p ** m
-    if points > WREATH_POINT_BOUND:
-        raise BudgetExceeded(f"{p}^{m} points over bound {WREATH_POINT_BOUND}")
-    gens = []
-    for level in range(1, m + 1):
-        block = p ** (m - level)
-        mapping = list(range(points))
-        # rotate the p blocks of size `block` sitting at offset 0
-        for i in range(p):
-            for x in range(block):
-                mapping[i * block + x] = ((i + 1) % p) * block + x
-        gens.append(Permutation(points, tuple(mapping)))
-    return gens
-
-
 def random_wreath_element(p: int, m: int, rng: random.Random) -> Permutation:
     """Uniform random element of the iterated wreath p-group on p^m points."""
     def sample(depth: int) -> list[int]:
@@ -362,20 +339,3 @@ def random_wreath_element(p: int, m: int, rng: random.Random) -> Permutation:
 
     return Permutation(p ** m, tuple(sample(m)))
 
-
-def mulclose(gens: Sequence[Permutation], maxsize: int | None = None) -> set[Permutation]:
-    """Closure of permutations under composition (test helper)."""
-    els = set(gens)
-    frontier = list(els)
-    while frontier:
-        nxt = []
-        for a in gens:
-            for b in frontier:
-                c = b.then(a)
-                if c not in els:
-                    els.add(c)
-                    nxt.append(c)
-                    if maxsize and len(els) > maxsize:
-                        raise BudgetExceeded(f"closure exceeded {maxsize}")
-        frontier = nxt
-    return els

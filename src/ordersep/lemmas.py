@@ -24,13 +24,12 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .config import RunConfig, sub_seed
 from .covergraph import (
     CoverGraph,
     SurgeryMark,
     close_edge_scan,
+    cycle_walks,
     gamma_surgery,
     graph_to_json,
     induced_graph,
@@ -207,13 +206,13 @@ def lemma1_boost(
         attempts += 1
         y = p ** m
         psi = [random_wreath_element(p, m, rng) for _ in range(cb.rank)]
-        maps = [np.array(q.map, dtype=np.int64) for q in psi]
-        inv_maps = [np.array(q.inverse().map, dtype=np.int64) for q in psi]
+        maps = [q.map for q in psi]
+        inv_maps = [q.inverse().map for q in psi]
         ok = True
         for word_letters in letters:
-            cur = np.arange(y, dtype=np.int64)
+            cur = range(y)
             for idx, exp in word_letters:
-                cur = (maps[idx] if exp > 0 else inv_maps[idx])[cur]
+                cur = tuple(map((maps[idx] if exp > 0 else inv_maps[idx]).__getitem__, cur))
             if perm_array_order(cur) <= threshold:
                 ok = False
                 break
@@ -294,29 +293,27 @@ def _cyclic_membership(g: CoverGraph, chi: NormalForm, root: NormalForm) -> int 
     pchi = word_perm_array(g, chi)
     proot = word_perm_array(g, root)
     n = len(proot)
-    pos = np.empty(n, dtype=np.int64)
-    length = np.empty(n, dtype=np.int64)
-    label = np.empty(n, dtype=np.int64)
-    seen = np.zeros(n, dtype=bool)
+    pos = [0] * n
+    length = [0] * n
+    label = [-1] * n
     for v in range(n):
-        if seen[v]:
+        if label[v] >= 0:
             continue
         orbit = [v]
-        cur = int(proot[v])
+        cur = proot[v]
         while cur != v:
             orbit.append(cur)
-            cur = int(proot[cur])
-        arr = np.array(orbit)
-        seen[arr] = True
-        pos[arr] = np.arange(len(orbit))
-        length[arr] = len(orbit)
-        label[arr] = v
-    if not np.array_equal(label[pchi], label):
+            cur = proot[cur]
+        for i, u in enumerate(orbit):
+            pos[u] = i
+            length[u] = len(orbit)
+            label[u] = v
+    if any(label[pchi[v]] != label[v] for v in range(n)):
         return None
     residue, modulus = 0, 1
     for v in range(n):
-        lv = int(length[v])
-        jv = (int(pos[pchi[v]]) - int(pos[v])) % lv
+        lv = length[v]
+        jv = (pos[pchi[v]] - pos[v]) % lv
         d = math.gcd(modulus, lv)
         if (jv - residue) % d:
             return None
@@ -326,15 +323,15 @@ def _cyclic_membership(g: CoverGraph, chi: NormalForm, root: NormalForm) -> int 
         modulus = modulus // d * lv
         residue %= modulus
     # direct verification at the merged exponent
-    acc = np.arange(n, dtype=np.int64)
+    acc: tuple[int, ...] = tuple(range(n))
     base = proot
     k = residue
     while k:
         if k & 1:
-            acc = base[acc]
-        base = base[base]
+            acc = tuple(map(base.__getitem__, acc))
+        base = tuple(map(base.__getitem__, base))
         k >>= 1
-    return residue if np.array_equal(acc, pchi) else None
+    return residue if acc == pchi else None
 
 
 def _declose_surgery(
@@ -361,11 +358,11 @@ def _declose_surgery(
     x1_f = chi.syllables[0][0]
     use_d = (x1_f != yn_f) ^ flip
     if use_d:
-        second = int(g.acts[y1_f][y1_v][r])  # end of the edge after r on the cycle
+        second = g.acts[y1_f][y1_v][r]  # end of the edge after r on the cycle
         marks = [SurgeryMark(r, d_factor), SurgeryMark(second, d_factor)]
     else:
         yn_inv = factors.inv(yn_f, yn_v)
-        second = int(g.acts[yn_f][yn_inv][r])  # start of the edge into r
+        second = g.acts[yn_f][yn_inv][r]  # start of the edge into r
         marks = [SurgeryMark(r, f_factor), SurgeryMark(second, f_factor)]
     return gamma_surgery(g, p, marks, max_vertices=cap)
 
@@ -374,41 +371,18 @@ class _Restart(Exception):
     """Internal: abandon the current construction attempt, reseed."""
 
 
-def _cycle_walks(g: CoverGraph, x: NormalForm):
-    """Yield (orbit vertex list, per-step start vertices) for each x-cycle."""
-    perm = word_perm_array(g, x)
-    prefixes = [np.arange(g.vcount, dtype=np.int64)]
-    for f, v in x.syllables[:-1]:
-        prefixes.append(g.acts[f][v][prefixes[-1]])
-    seen = np.zeros(g.vcount, dtype=bool)
-    for base in range(g.vcount):
-        if seen[base]:
-            continue
-        orbit = [base]
-        cur = int(perm[base])
-        while cur != base:
-            orbit.append(cur)
-            cur = int(perm[cur])
-        seen[np.array(orbit)] = True
-        walk = []
-        for v in orbit:
-            for t in range(len(x.syllables)):
-                walk.append(int(prefixes[t][v]))
-        yield orbit, walk
-
-
 def _close_pairs_by_cycle(g: CoverGraph, root: NormalForm):
     """Yield (walk, i, j) for the first close pair of each offending cycle."""
     syl = root.syllables
     n = len(syl)
     orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
-    for orbit, walk in _cycle_walks(g, root):
+    for _orbit, walk in cycle_walks(g, root):
         keys: dict[tuple[int, int], int] = {}
         edges: dict[int, tuple[int, int, int]] = {}
         for pos, start in enumerate(walk):
             f, val = syl[pos % n]
             edge = (start, f, val)
-            key = (f, int(orbit_labels[f][start]))
+            key = (f, orbit_labels[f][start])
             prev_pos = keys.get(key)
             if prev_pos is None:
                 keys[key] = pos
@@ -455,7 +429,7 @@ def _pair_kill_marks(
     syl = root.syllables
     n = len(syl)
     f_pair = syl[j % n][0]
-    pair_key = (f_pair, int(g.factor_orbits(f_pair)[walk[j]]))
+    pair_key = (f_pair, g.factor_orbits(f_pair)[walk[j]])
 
     seg: dict[tuple[int, int], int] = {}
     _edge_deltas(walk, i, (j - 1) % len(walk), syl, seg)
@@ -463,7 +437,7 @@ def _pair_kill_marks(
     _edge_deltas(walk, 0, len(walk) - 1, syl, cyc)
 
     def orbit_key(v: int, f: int) -> tuple[int, int]:
-        return (f, int(g.factor_orbits(f)[v]))
+        return (f, g.factor_orbits(f)[v])
 
     primary = sorted(
         key for key, d in seg.items() if d % p and orbit_key(key[0], key[1]) != pair_key
@@ -513,13 +487,13 @@ def _scan_repair_round(
     root0, walk0, i0, j0 = offenders[0]
     syl0 = root0.syllables
     f_pair = syl0[j0 % len(syl0)][0]
-    pair_key = (f_pair, int(g.factor_orbits(f_pair)[walk0[j0]]))
+    pair_key = (f_pair, g.factor_orbits(f_pair)[walk0[j0]])
     kill = _pair_kill_marks(g, root0, walk0, i0, j0, p)
     if kill is None:
         pos = (i0 + round_no) % len(walk0)
         kill = [SurgeryMark(walk0[pos], syl0[pos % len(syl0)][0])]
     marks = list(kill)
-    used = {(m.factor, int(g.factor_orbits(m.factor)[m.vertex])) for m in marks}
+    used = {(m.factor, g.factor_orbits(m.factor)[m.vertex]) for m in marks}
     used.add(pair_key)
 
     seg0: dict[tuple[int, int], int] = {}
@@ -535,7 +509,7 @@ def _scan_repair_round(
         for (v, f), d in sorted(cyc.items()):
             if d % p == 0:
                 continue
-            key = (f, int(g.factor_orbits(f)[v]))
+            key = (f, g.factor_orbits(f)[v])
             if key in used:
                 continue
             # do not disturb the targeted pair's conditions
@@ -679,7 +653,7 @@ def lemma2_declose(
 
 def _max_cycles(g: CoverGraph, u: NormalForm) -> tuple[int, list[tuple[list[int], list[int]]]]:
     """(max length, all (orbit, walk) pairs of that length, by base order)."""
-    cycles = list(_cycle_walks(g, u))
+    cycles = list(cycle_walks(g, u))
     top = max(len(orbit) for orbit, _ in cycles)
     return top, [(orbit, walk) for orbit, walk in cycles if len(orbit) == top]
 

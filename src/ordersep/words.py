@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     BadSyllable,
@@ -330,19 +330,6 @@ def rewrite(w: NormalForm, factors: Factors) -> list[tuple[int, int]]:
     if (a, b) != (0, 0):
         raise NotInCartesian((a, b))
     return out
-
-
-def evaluate_basis_word(
-    letters: Sequence[tuple[int, int]],
-    basis: Sequence[NormalForm],
-    factors: Factors,
-) -> NormalForm:
-    """Multiply basis letters back out (round-trip check for ``rewrite``)."""
-    acc = IDENTITY
-    for idx, exp in letters:
-        term = basis[idx] if exp > 0 else invert(basis[idx], factors)
-        acc = multiply(acc, term, factors)
-    return acc
 
 
 def finite_factors(ga: FiniteGroup, gb: FiniteGroup) -> Factors:

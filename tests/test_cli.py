@@ -1,8 +1,11 @@
+import functools
 import json
 
 import pytest
 
+from ordersep import cli
 from ordersep.cli import _build_parser, run_cli
+from ordersep.covergraph import synchronized_product
 from ordersep.groupcore import cyclic_group
 
 Z2 = [[0, 1], [1, 0]]
@@ -235,6 +238,22 @@ class TestGraphCommands:
         assert run_cli(["graph", "product", path]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["vcount"] == 36
+
+    @pytest.mark.parametrize("base", [[99, 0], [-1, 0], [0, 6], [0, -1]])
+    @pytest.mark.parametrize("max_vertices", [36, 35], ids=["full", "component"])
+    def test_product_base_out_of_range_exit_5(self, tmp_path, capsys, monkeypatch, base, max_vertices):
+        # 36 vertex pairs fit the full product; a budget of 35 takes the
+        # component branch
+        monkeypatch.setattr(
+            cli, "synchronized_product", functools.partial(synchronized_product, max_vertices=max_vertices)
+        )
+        g = self._base_graph(tmp_path, capsys)
+        path = write(tmp_path, "p.json", {"graphs": [g, g], "base": base})
+        assert run_cli(["graph", "product", path]) == 5
+        assert "ParseError" in capsys.readouterr().err
+        path = write(tmp_path, "ok.json", {"graphs": [g, g], "base": [5, 2]})
+        assert run_cli(["graph", "product", path]) == 0
+        assert json.loads(capsys.readouterr().out)["vcount"] == (36 if max_vertices == 36 else 6)
 
     def test_bad_graph_exit_5(self, tmp_path, capsys):
         g = self._base_graph(tmp_path, capsys)

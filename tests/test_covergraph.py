@@ -3,7 +3,6 @@ import json
 import math
 import random
 
-import numpy as np
 import pytest
 
 from ordersep.errors import BudgetExceeded, ConflictingMarks, FactorElement, ParseError
@@ -25,7 +24,6 @@ from ordersep.covergraph import (
     graph_from_json,
     graph_to_dot,
     graph_to_json,
-    graphs_equal,
     induced_graph,
     load_graph_json,
     synchronized_product,
@@ -47,6 +45,7 @@ from ordersep.words import (
     rewrite,
 )
 
+from helpers import graphs_equal
 from test_words import random_word
 
 A = (0, 1)
@@ -124,22 +123,41 @@ class TestValidateCover:
 
     def test_redirected_edge_fails_freeness(self, z2, z3):
         g = cayley_base(z2, z3)
-        acts0 = g.acts[0].copy()
+        row = list(g.acts[0][1])
         # make the a-edge at vertex 0 a fixed point and repair bijectivity
-        tgt = acts0[1][0]
-        acts0[1][0] = 0
-        acts0[1][np.flatnonzero(g.acts[0][1] == 0)[0]] = tgt
-        bad = CoverGraph(g.factors, (acts0, g.acts[1]))
+        tgt = row[0]
+        row[0] = 0
+        row[g.acts[0][1].index(0)] = tgt
+        bad = _with_row(g, 0, 1, row)
         report = validate_cover(bad)
         assert not report.ok
         assert report.reason in ("freeness", "group law")
+        assert validate_cover(g).ok
 
     def test_non_bijective_fails_property_one(self, z2, z3):
         g = cayley_base(z2, z3)
-        acts0 = g.acts[0].copy()
-        acts0[1][0] = acts0[1][1]
-        bad = CoverGraph(g.factors, (acts0, g.acts[1]))
+        row = list(g.acts[0][1])
+        row[0] = row[1]
+        bad = _with_row(g, 0, 1, row)
         assert validate_cover(bad).reason == "property (1)"
+
+    def test_short_row_fails_shape(self, z2, z3):
+        g = cayley_base(z2, z3)
+        bad = _with_row(g, 1, 2, g.acts[1][2][:-1])
+        report = validate_cover(bad)
+        assert report.reason == "shape"
+        assert report.witness == (1, (6, 6, 5))
+
+    def test_rows_are_immutable(self, z2, z3):
+        g = cayley_base(z2, z3)
+        before = graph_to_json(g)
+        assert word_order(g, AB) == 6  # fills the orbit cache
+        with pytest.raises(TypeError):
+            g.acts[0][1][0] = 0
+        with pytest.raises(TypeError):
+            g.acts[0][1] = g.acts[0][0]
+        assert graph_to_json(g) == before
+        assert validate_cover(g).ok
 
     def test_random_surgeries_validate(self, f23):
         rng = random.Random(1)
@@ -174,7 +192,7 @@ class TestWordPermutation:
             pu = word_perm_array(g, u)
             pv = word_perm_array(g, v)
             puv = word_perm_array(g, multiply(u, v, f23))
-            assert np.array_equal(pv[pu], puv)
+            assert tuple(pv[x] for x in pu) == puv
 
 
 class TestXCycles:
@@ -267,7 +285,8 @@ class TestGammaSurgery:
             u = random_word(f23, rng, 4)
             ph = word_perm_array(h, u)
             pg = word_perm_array(g, u)
-            assert np.array_equal(ph % g.vcount, np.tile(pg, 3)[np.arange(3 * g.vcount)])
+            # vertex (layer, v) of h lies over v of g
+            assert [x % g.vcount for x in ph] == list(pg) * 3
 
     def test_surgery_cycle_law_on_close_edge_free_cycles(self, f23):
         # any lift of a close-edge-free u-cycle has length l or t*l
@@ -295,6 +314,15 @@ class TestGammaSurgery:
                 assert c.k in (below, t * below)
                 if not base_cycles[_min_orbit(perm, c.base % g.vcount)].close:
                     assert not c.close
+
+
+def _with_row(g, f, c, row):
+    """g with row c of factor f replaced."""
+    rows = list(g.acts[f])
+    rows[c] = tuple(row)
+    acts = list(g.acts)
+    acts[f] = tuple(rows)
+    return CoverGraph(g.factors, (acts[0], acts[1]))
 
 
 def _orbit(perm, base):

@@ -10,14 +10,14 @@ from ordersep.groupcore import (
     Permutation,
     cyclic_group,
     element_order,
-    mulclose,
     normal_subgroups,
     perm_order,
     quotient,
     random_wreath_element,
     validate_group,
-    wreath_p_group,
 )
+
+from helpers import mulclose, wreath_p_group
 
 
 def brute_subgroups(group):

@@ -6,8 +6,8 @@ must occur as a name somewhere in the module, or be listed in its
 ``__all__``.  The verifier stays independent of construction: ``verify``
 imports no package module but ``errors``, and no construction module
 imports ``verify``.  The third-party modules the package imports are
-exactly the dependencies ``pyproject.toml`` declares, and importing the CLI
-loads no heavy package it does not need.
+exactly the dependencies ``pyproject.toml`` declares (none), and importing
+the CLI loads nothing outside the standard library and the package.
 """
 
 import ast
@@ -83,13 +83,18 @@ def test_third_party_imports_are_the_declared_dependencies():
     third_party = imported - set(sys.stdlib_module_names) - {"ordersep"}
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]}
-    assert third_party == declared == {"numpy"}
+    assert third_party == declared == set()
 
 
-def test_cli_import_leaves_sympy_unloaded():
+def test_cli_import_loads_only_stdlib_and_ordersep():
+    # modules the interpreter loaded at start-up (site hooks) are not the CLI's
+    code = (
+        "import sys; before = set(sys.modules); import ordersep.cli; "
+        "print(sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+        " - set(sys.stdlib_module_names) - {'ordersep'}))"
+    )
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
-        [sys.executable, "-c", "import sys, ordersep.cli; print('sympy' in sys.modules)"],
-        env=env, capture_output=True, text=True, check=True, timeout=60,
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"

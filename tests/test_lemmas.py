@@ -211,17 +211,16 @@ class TestLemma2:
     def test_connector_exclusion_as_permutations(self, f23):
         res = lemma2_declose([ABAB2], 2, f23, seed=3)
         g = res.components[0].graph
-        import numpy as np
-
         proot = word_perm_array(g, ABAB2)
         order = res.orders[0]
-        powers = []
-        cur = np.arange(g.vcount)
+        powers = set()
+        cur = tuple(range(g.vcount))
         for _ in range(order):
-            powers.append(cur.tobytes())
-            cur = proot[cur]
+            powers.add(cur)
+            cur = tuple(proot[x] for x in cur)
+        assert len(powers) == order
         for _z, _mu, _nu, chi in connecting_words(ABAB2, f23):
-            assert word_perm_array(g, chi).tobytes() not in powers
+            assert word_perm_array(g, chi) not in powers
 
     def test_multi_target(self, f23):
         w2 = power(AB, 6, f23)

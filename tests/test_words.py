@@ -9,7 +9,6 @@ from ordersep.words import (
     NormalForm,
     cartesian_basis,
     cyclically_reduce,
-    evaluate_basis_word,
     factor_image,
     in_cartesian,
     invert,
@@ -22,6 +21,8 @@ from ordersep.words import (
     primitive_root,
     rewrite,
 )
+
+from helpers import evaluate_basis_word
 
 A = (0, 1)          # the involution in Z/2
 B = (1, 1)          # generator of Z/3
