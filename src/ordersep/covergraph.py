@@ -326,7 +326,7 @@ def synchronized_product(
     the budget (the order of any word is then the lcm of its component
     orders), otherwise the connected component of the base pair."""
     if g1.factors[0].table != g2.factors[0].table or g1.factors[1].table != g2.factors[1].table:
-        raise InternalError("product factors disagree")
+        raise ParseError("product factors disagree")
     v1, v2 = g1.vcount, g2.vcount
     if not (0 <= base[0] < v1 and 0 <= base[1] < v2):
         raise ParseError(f"product base {base} outside {v1} x {v2} vertices")

@@ -22,7 +22,16 @@ from .errors import (
     RepairBudgetExceeded,
     SharedFactorOrder,
 )
-from .groupcore import FactorHom, FiniteGroup, Permutation, cyclic_group, element_order, validate_group
+from .groupcore import (
+    FactorHom,
+    FiniteGroup,
+    Permutation,
+    cyclic_group,
+    element_order,
+    normal_subgroups,
+    quotient,
+    validate_group,
+)
 from .lemmas import Component, factorization, fresh_prime, lemma1_boost, lemma3_separate, valuation
 from .words import (
     FactorSpec,
@@ -223,8 +232,6 @@ def _identity_hom(group: FiniteGroup) -> FactorHom:
 
 
 def _finite_candidates(group: FiniteGroup):
-    from .groupcore import normal_subgroups, quotient
-
     for subset in normal_subgroups(group):
         if len(subset) == 1:
             yield _identity_hom(group)
@@ -260,6 +267,26 @@ def _candidate_stream(spec: FactorSpec, bound: int):
         yield from _finite_candidates(spec.group)
     else:
         yield from _modulus_candidates(bound)
+
+
+class _Replay:
+    """An iterable read lazily and kept: a second pass re-reads the items the
+    first one pulled and pulls the rest from the source on demand."""
+
+    def __init__(self, source):
+        self._source = iter(source)
+        self._items: list = []
+
+    def __iter__(self):
+        i = 0
+        while True:
+            if i == len(self._items):
+                nxt = next(self._source, None)
+                if nxt is None:
+                    return
+                self._items.append(nxt)
+            yield self._items[i]
+            i += 1
 
 
 def _search_hom_pair(specs, bound, feasible, try_pair):
@@ -769,7 +796,11 @@ def _theorem3_case_two(
             homs = (hom, other_hom) if s == 0 else (other_hom, hom)
             return _certify(homs, reduced, inst, "t3c2", transcript)
 
-        for hom in _candidate_stream(factors.spec(s), bound):
+        # each factor's candidates are built once and re-read by the loops
+        # below (a modulus stream stays lazy)
+        homs_s = _Replay(_candidate_stream(factors.spec(s), bound))
+        homs_other = _Replay(_candidate_stream(factors.spec(other), bound))
+        for hom in homs_s:
             o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
             if o1 == 1 or o2 == 1 or o1 == o2:
                 continue
@@ -778,11 +809,11 @@ def _theorem3_case_two(
             )
         # no quotient keeps both alive apart: let one die and keep the third
         # target's image order away from both
-        for hom in _candidate_stream(factors.spec(s), bound):
+        for hom in homs_s:
             o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
             if o1 == o2:
                 continue
-            for other_hom in _candidate_stream(factors.spec(other), bound):
+            for other_hom in homs_other:
                 if _hom_order(other_hom, v3) not in (o1, o2):
                     return certificate(hom, other_hom, "two-on-one-side-quotient")
         if factors.spec(s).is_finite:

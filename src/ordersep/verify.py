@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -44,21 +45,25 @@ class VerifyReport:
 
 def _mul_table_ok(table: list[list[int]]) -> str | None:
     n = len(table)
+    full = list(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
             return f"row {i} wrong length"
-        if sorted(row) != list(range(n)):
+        if sorted(row) != full:
             return f"row {i} not a permutation"
-    for j in range(n):
-        if sorted(table[i][j] for i in range(n)) != list(range(n)):
+    for j, column in enumerate(zip(*table)):
+        if sorted(column) != full:
             return f"column {j} not a permutation"
     if any(table[0][i] != i or table[i][0] != i for i in range(n)):
         return "identity is not element 0"
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if table[table[a][b]][c] != table[a][table[b][c]]:
-                    return f"associativity fails at ({a},{b},{c})"
+    # row by row: (a*b)*c over all c against a*(b*c); a or b = 0 holds
+    for a in range(1, n):
+        row_a = table[a]
+        for b in range(1, n):
+            row_ab, row_b = table[row_a[b]], table[b]
+            if row_ab != [row_a[x] for x in row_b]:
+                c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
+                return f"associativity fails at ({a},{b},{c})"
     return None
 
 
@@ -76,10 +81,12 @@ def _hom_ok(hom: dict, source: dict) -> str | None:
         mapping = hom["map"]
         if len(mapping) != len(src) or mapping[0] != 0:
             return "map shape wrong"
-        for x in range(len(src)):
-            for y in range(len(src)):
-                if mapping[src[x][y]] != table[mapping[x]][mapping[y]]:
-                    return f"not a homomorphism at ({x},{y})"
+        # row by row: map(x*y) over all y against map(x)*map(y)
+        for x, row in enumerate(src):
+            image_row = table[mapping[x]]
+            if [mapping[z] for z in row] != [image_row[m] for m in mapping]:
+                y = next(y for y, z in enumerate(row) if mapping[z] != image_row[mapping[y]])
+                return f"not a homomorphism at ({x},{y})"
         return None
     if hom["kind"] == "infinite_cyclic":
         if source.get("type") != "infinite_cyclic":
@@ -117,6 +124,29 @@ def _reduce(word: list[tuple[int, int]], tables: list[list[list[int]]]) -> list[
     return stack
 
 
+def _column_error(column: list, identity: list, f: int, c: int) -> str | None:
+    """First property (1)/(2) failure of element ``c``'s column, in vertex
+    order; a column of ints that permutes the vertices and fixes none
+    passes at once."""
+    if (
+        set(map(type, column)) == {int}
+        and sorted(column) == identity
+        and not any(map(operator.eq, column, identity))
+    ):
+        return None
+    vcount = len(identity)
+    seen = [False] * vcount
+    for v, tgt in enumerate(column):
+        if not isinstance(tgt, int) or not (0 <= tgt < vcount):
+            return "property (1): target out of range"
+        if seen[tgt]:
+            return f"property (1) fails for factor {f} element {c}"
+        seen[tgt] = True
+        if tgt == v:
+            return f"property (2) fails: freeness at vertex {v}"
+    return None
+
+
 def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
     vcount = graph.get("vcount")
     if not isinstance(vcount, int) or vcount < 1:
@@ -127,34 +157,36 @@ def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
     action = graph.get("action")
     if not isinstance(action, list) or len(action) != 2:
         return "bad action shape"
+    identity = list(range(vcount))
     for f in (0, 1):
         n = len(tables[f])
         rows = action[f]
         if len(rows) != vcount:
             return f"action[{f}] wrong length"
+        if n < 2:
+            continue
+        # column c-1 holds element c's action; a short or long row is
+        # reported where the vertex walk of element 1 reaches it
+        if set(map(len, rows)) == {n - 1}:
+            wide = None
+            columns = list(map(list, zip(*rows)))
+        else:
+            wide = next(v for v, row in enumerate(rows) if len(row) != n - 1)
+            columns = [[row[0] for row in rows[:wide]]]
+        for c, column in enumerate(columns, 1):
+            err = _column_error(column, identity, f, c)
+            if err:
+                return err
+        if wide is not None:
+            return f"action[{f}][{wide}] wrong width"
+        # composition law, one column pair at a time
         for c in range(1, n):
-            seen = [False] * vcount
-            for v in range(vcount):
-                row = rows[v]
-                if len(row) != n - 1:
-                    return f"action[{f}][{v}] wrong width"
-                tgt = row[c - 1]
-                if not isinstance(tgt, int) or not (0 <= tgt < vcount):
-                    return "property (1): target out of range"
-                if seen[tgt]:
-                    return f"property (1) fails for factor {f} element {c}"
-                seen[tgt] = True
-                if tgt == v:
-                    return f"property (2) fails: freeness at vertex {v}"
-        # composition law
-        for c in range(1, n):
+            col_c = columns[c - 1]
             for d in range(1, n):
                 e = tables[f][c][d]
-                for v in range(vcount):
-                    via = rows[rows[v][c - 1]][d - 1]
-                    direct = v if e == 0 else rows[v][e - 1]
-                    if via != direct:
-                        return f"group law fails for factor {f} at ({c},{d})"
+                via = list(map(columns[d - 1].__getitem__, col_c))
+                if via != (identity if e == 0 else columns[e - 1]):
+                    return f"group law fails for factor {f} at ({c},{d})"
     return None
 
 

@@ -137,6 +137,10 @@ def invert(u: NormalForm, factors: Factors) -> NormalForm:
 def power(u: NormalForm, k: int, factors: Factors) -> NormalForm:
     if k < 0:
         return power(invert(u, factors), -k, factors)
+    if len(u) >= 2 and is_cyclically_reduced(u):
+        # the last syllable and the first lie in different factors, so the
+        # copies of u meet without cancelling
+        return NormalForm(u.syllables * k)
     acc = IDENTITY
     base = u
     while k:

@@ -6,11 +6,14 @@ groups, rebuild words, and compare graphs the slow, obvious way.
 
 from __future__ import annotations
 
+import importlib.util
+import random
+from pathlib import Path
 from typing import Sequence
 
 from ordersep.covergraph import CoverGraph
 from ordersep.errors import BudgetExceeded
-from ordersep.groupcore import Permutation
+from ordersep.groupcore import FiniteGroup, Permutation, validate_group
 from ordersep.words import IDENTITY, Factors, NormalForm, invert, multiply
 
 WREATH_POINT_BOUND = 2 ** 16
@@ -71,3 +74,103 @@ def evaluate_basis_word(
 
 def graphs_equal(g1: CoverGraph, g2: CoverGraph) -> bool:
     return g1.factors == g2.factors and g1.acts == g2.acts
+
+
+def perm_group(*gens: tuple[int, ...]) -> FiniteGroup:
+    """The group generated by permutations, identity first, by table."""
+    identity = Permutation.identity(len(gens[0]))
+    elements = sorted(
+        mulclose([Permutation(len(g), g) for g in gens]) | {identity},
+        key=lambda p: (p != identity, p.map),
+    )
+    index = {p: i for i, p in enumerate(elements)}
+    return validate_group([[index[p.then(q)] for q in elements] for p in elements])
+
+
+def bench_finite_tables() -> dict[str, list[list[int]]]:
+    """The finite factor tables of the benchmark corpora."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "corpora.py"
+    spec = importlib.util.spec_from_file_location("bench_corpora", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FINITE_TABLES
+
+
+def random_loop_table(n: int, rng: random.Random) -> list[list[int]]:
+    """A random Latin square on 0..n-1 with 0 a two-sided identity and
+    two-sided inverses (a random pairing of the other elements), filled
+    cell by cell with backtracking; a pairing no square completes is
+    drawn again."""
+    while True:
+        table = [[i if r == 0 else (r if i == 0 else -1) for i in range(n)] for r in range(n)]
+        others = list(range(1, n))
+        rng.shuffle(others)
+        while others:
+            x = others.pop()
+            y = others.pop() if others and rng.random() < 0.7 else x
+            table[x][y] = table[y][x] = 0
+        cells = [(r, c) for r in range(1, n) for c in range(1, n) if table[r][c] < 0]
+
+        def fill(k: int) -> bool:
+            if k == len(cells):
+                return True
+            r, c = cells[k]
+            used = set(table[r]) | {table[i][c] for i in range(n)}
+            values = [v for v in range(n) if v not in used]
+            rng.shuffle(values)
+            for v in values:
+                table[r][c] = v
+                if fill(k + 1):
+                    return True
+            table[r][c] = -1
+            return False
+
+        if fill(0):
+            return table
+
+
+def first_non_associative_triple(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """The first (a, b, c) in lexicographic order with (ab)c != a(bc)."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if table[table[a][b]][c] != table[a][table[b][c]]:
+                    return a, b, c
+    return None
+
+
+def reference_graph_error(graph: dict, tables: list) -> str | None:
+    """A certificate graph's first defect, found vertex by vertex and
+    element by element: the failure message and order the verifier's
+    graph check must reproduce."""
+    vcount = graph["vcount"]
+    action = graph["action"]
+    for f in (0, 1):
+        n = len(tables[f])
+        rows = action[f]
+        if len(rows) != vcount:
+            return f"action[{f}] wrong length"
+        for c in range(1, n):
+            seen = [False] * vcount
+            for v in range(vcount):
+                row = rows[v]
+                if len(row) != n - 1:
+                    return f"action[{f}][{v}] wrong width"
+                tgt = row[c - 1]
+                if not isinstance(tgt, int) or not (0 <= tgt < vcount):
+                    return "property (1): target out of range"
+                if seen[tgt]:
+                    return f"property (1) fails for factor {f} element {c}"
+                seen[tgt] = True
+                if tgt == v:
+                    return f"property (2) fails: freeness at vertex {v}"
+        for c in range(1, n):
+            for d in range(1, n):
+                e = tables[f][c][d]
+                for v in range(vcount):
+                    via = rows[rows[v][c - 1]][d - 1]
+                    direct = v if e == 0 else rows[v][e - 1]
+                    if via != direct:
+                        return f"group law fails for factor {f} at ({c},{d})"
+    return None

@@ -5,7 +5,7 @@ import pytest
 
 from ordersep import cli
 from ordersep.cli import _build_parser, run_cli
-from ordersep.covergraph import synchronized_product
+from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
 from ordersep.groupcore import cyclic_group
 
 Z2 = [[0, 1], [1, 0]]
@@ -214,8 +214,6 @@ class TestLemmaCommands:
 
 class TestGraphCommands:
     def _base_graph(self, tmp_path, capsys):
-        from ordersep.covergraph import cayley_base, graph_to_json
-
         g = cayley_base(cyclic_group(2), cyclic_group(3))
         return graph_to_json(g)
 
@@ -254,6 +252,19 @@ class TestGraphCommands:
         path = write(tmp_path, "ok.json", {"graphs": [g, g], "base": [5, 2]})
         assert run_cli(["graph", "product", path]) == 0
         assert json.loads(capsys.readouterr().out)["vcount"] == (36 if max_vertices == 36 else 6)
+
+    @pytest.mark.parametrize("max_vertices", [36, 35], ids=["full", "component"])
+    def test_product_factors_disagree_exit_5(self, tmp_path, capsys, monkeypatch, max_vertices):
+        # a Z/2*Z/3 graph and a Z/3*Z/2 graph act on different free products
+        monkeypatch.setattr(
+            cli, "synchronized_product", functools.partial(synchronized_product, max_vertices=max_vertices)
+        )
+        g = self._base_graph(tmp_path, capsys)
+        h = graph_to_json(cayley_base(cyclic_group(3), cyclic_group(2)))
+        assert h["vcount"] == g["vcount"] == 6
+        path = write(tmp_path, "p.json", {"graphs": [g, h], "base": [0, 0]})
+        assert run_cli(["graph", "product", path]) == 5
+        assert "error[ParseError]: product factors disagree" in capsys.readouterr().err
 
     def test_bad_graph_exit_5(self, tmp_path, capsys):
         g = self._base_graph(tmp_path, capsys)

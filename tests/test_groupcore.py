@@ -3,9 +3,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersep.errors import BudgetExceeded, NotAGroup, NotNormal
 from ordersep.groupcore import (
+    FactorHom,
     FiniteGroup,
     Permutation,
     cyclic_group,
@@ -17,7 +19,14 @@ from ordersep.groupcore import (
     validate_group,
 )
 
-from helpers import mulclose, wreath_p_group
+from helpers import (
+    bench_finite_tables,
+    first_non_associative_triple,
+    mulclose,
+    perm_group,
+    random_loop_table,
+    wreath_p_group,
+)
 
 
 def brute_subgroups(group):
@@ -38,6 +47,44 @@ def brute_normal_subgroups(group):
         for s in brute_subgroups(group)
         if all(group.conjugate(g, x) in s for x in s for g in group.elements())
     ]
+
+
+def _quaternion_table():
+    # element 2*u + s is (-1)^s times the unit u of (1, i, j, k)
+    units = {
+        (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+        (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+        (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
+    }
+
+    def mul(x, y):
+        (u, s), (v, t) = divmod(x, 2), divmod(y, 2)
+        w, sign = (v, 0) if u == 0 else ((u, 0) if v == 0 else units[(u, v)])
+        return 2 * w + (s + t + sign) % 2
+
+    return [[mul(x, y) for y in range(8)] for x in range(8)]
+
+
+def _extra_groups():
+    z2z6 = [[((x // 6 + y // 6) % 2) * 6 + (x + y) % 6 for y in range(12)] for x in range(12)]
+    return {
+        "Q8": validate_group(_quaternion_table()),
+        "A4": perm_group((1, 2, 0, 3), (1, 0, 3, 2)),
+        "D6": perm_group((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)),
+        "Z2xZ6": validate_group(z2z6),
+    }
+
+
+# number of normal subgroups, from the groups' known lattices
+NORMAL_COUNTS = {
+    "Z2": 2, "Z3": 2, "Z4": 3, "Z5": 2, "Z6": 4, "Klein": 5, "S3": 3, "D4": 6,
+    "Q8": 6, "A4": 3, "D6": 7, "Z2xZ6": 10,
+}
+
+
+def _sample_groups():
+    groups = {name: validate_group(t) for name, t in bench_finite_tables().items()}
+    return {**groups, **_extra_groups()}
 
 
 class TestValidateGroup:
@@ -74,6 +121,43 @@ class TestValidateGroup:
         ]
         with pytest.raises(NotAGroup, match="associativity"):
             validate_group(table)
+
+
+class TestTableWitnesses:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(5, 8), st.integers(0, 2 ** 32))
+    def test_associativity_witness_is_the_first_triple(self, n, seed):
+        table = random_loop_table(n, random.Random(seed))
+        triple = first_non_associative_triple(table)
+        if triple is None:
+            validate_group(table)
+            return
+        with pytest.raises(NotAGroup, match=rf"associativity fails at \({triple[0]},{triple[1]},{triple[2]}\)$"):
+            validate_group(table)
+
+    def test_loops_are_mostly_not_groups(self):
+        # so the property above mostly exercises the associativity witness
+        rng = random.Random(5)
+        misses = sum(first_non_associative_triple(random_loop_table(6, rng)) is not None for _ in range(20))
+        assert misses >= 15
+
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8", "A4"])
+    def test_hom_check_names_the_first_failing_pair(self, name):
+        group = _sample_groups()[name]
+        rng = random.Random(name)
+        for _ in range(20):
+            img = [0] + [rng.randrange(group.n) for _ in range(group.n - 1)]
+            first = next(
+                ((x, y) for x in group.elements() for y in group.elements()
+                 if img[group.mul(x, y)] != group.mul(img[x], img[y])),
+                None,
+            )
+            hom = FactorHom(kind="finite", target=group, map=tuple(img), source=group)
+            if first is None:
+                hom.check()
+            else:
+                with pytest.raises(NotAGroup, match=rf"at \({first[0]},{first[1]}\)$"):
+                    hom.check()
 
 
 class TestElementOrder:
@@ -117,6 +201,27 @@ class TestNormalSubgroups:
         got = set(normal_subgroups(s3))
         assert got == set(brute_normal_subgroups(s3))
         assert sorted(len(s) for s in got) == [1, 3, 6]
+
+    @pytest.mark.parametrize("name", sorted(NORMAL_COUNTS))
+    def test_matches_brute_force_list(self, name):
+        group = _sample_groups()[name]
+        expected = sorted(brute_normal_subgroups(group), key=lambda s: (len(s), sorted(s)))
+        got = normal_subgroups(group)
+        assert got == expected
+        assert len(got) == NORMAL_COUNTS[name]
+
+    def test_every_bench_table_is_covered(self):
+        assert set(bench_finite_tables()) <= set(NORMAL_COUNTS)
+
+    def test_extra_groups_by_element_orders(self):
+        # the orders tell the groups apart from the other groups of their size
+        orders = {
+            name: sorted(element_order(g, x) for x in g.elements()) for name, g in _extra_groups().items()
+        }
+        assert orders["Q8"] == [1, 2] + [4] * 6
+        assert orders["A4"] == [1] + [2] * 3 + [3] * 8
+        assert orders["D6"] == [1] + [2] * 7 + [3] * 2 + [6] * 2
+        assert orders["Z2xZ6"] == [1] + [2] * 3 + [3] * 2 + [6] * 6
 
     def test_budget(self):
         with pytest.raises(BudgetExceeded):

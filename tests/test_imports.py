@@ -3,7 +3,8 @@ since no linter ships with the toolchain.
 
 Every top-level import is referenced: a name bound by a top-level ``import``
 must occur as a name somewhere in the module, or be listed in its
-``__all__``.  The verifier stays independent of construction: ``verify``
+``__all__``.  No function body imports: every import sits at module
+level.  The verifier stays independent of construction: ``verify``
 imports no package module but ``errors``, and no construction module
 imports ``verify``.  The third-party modules the package imports are
 exactly the dependencies ``pyproject.toml`` declares (none), and importing
@@ -49,6 +50,18 @@ def test_no_unused_imports(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = [n for n in _imported_names(tree) if n not in used | _exported_names(tree)]
     assert not unused, f"{path.name} imports {unused} without using them"
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_imports_inside_functions(path):
+    local = sorted({
+        f"{inner.lineno}: {ast.unparse(inner)}"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom))
+    })
+    assert not local, f"{path.name} imports inside a function: {local}"
 
 
 def _package_imports(path: Path) -> set[str]:

@@ -2,14 +2,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersep.errors import BadSyllable, InfiniteFactor, NotInCartesian, TrivialTarget
+from ordersep.groupcore import cyclic_group
 from ordersep.words import (
     IDENTITY,
     NormalForm,
     cartesian_basis,
     cyclically_reduce,
     factor_image,
+    finite_factors,
     in_cartesian,
     invert,
     is_conjugate,
@@ -22,7 +25,7 @@ from ordersep.words import (
     rewrite,
 )
 
-from helpers import evaluate_basis_word
+from helpers import evaluate_basis_word, perm_group
 
 A = (0, 1)          # the involution in Z/2
 B = (1, 1)          # generator of Z/3
@@ -356,3 +359,52 @@ class TestPowerHelper:
             u = random_word(f23, rng, 4)
             i, j = rng.randrange(-4, 5), rng.randrange(-4, 5)
             assert multiply(power(u, i, f23), power(u, j, f23), f23) == power(u, i + j, f23)
+
+
+POWER_FACTORS = [
+    finite_factors(cyclic_group(3), cyclic_group(4)),
+    finite_factors(perm_group((1, 0, 2), (1, 2, 0)), cyclic_group(2)),
+]
+
+
+@st.composite
+def power_words(draw):
+    """A word over Z3*Z4 or S3*Z2: a cyclically reduced core, or that core
+    conjugated by another word (mostly not cyclically reduced)."""
+    factors = draw(st.sampled_from(POWER_FACTORS))
+
+    def word():
+        raw = draw(st.lists(st.tuples(st.integers(0, 1), st.integers(1, 5)), max_size=7))
+        return normalize([(f, v % factors.spec(f).group.n) for f, v in raw], factors)
+
+    core = cyclically_reduce(word(), factors)[0]
+    if draw(st.booleans()):
+        t = word()
+        return factors, multiply(multiply(t, core, factors), invert(t, factors), factors)
+    return factors, core
+
+
+class TestPowerProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(power_words(), st.integers(-6, 6))
+    def test_power_is_repeated_multiplication(self, case, k):
+        factors, u = case
+        step = u if k >= 0 else invert(u, factors)
+        expected = IDENTITY
+        for _ in range(abs(k)):
+            expected = multiply(expected, step, factors)
+        assert power(u, k, factors) == expected
+
+    def test_both_shapes_are_drawn(self):
+        # the strategy yields hyperbolic cyclically reduced words and words
+        # that are not cyclically reduced
+        shapes = set()
+
+        @settings(max_examples=200, deadline=None)
+        @given(power_words())
+        def collect(case):
+            u = case[1]
+            shapes.add((len(u) >= 2, is_cyclically_reduced(u)))
+
+        collect()
+        assert {(True, True), (True, False)} <= shapes
