@@ -13,7 +13,6 @@ class RunConfig:
     seed: int = 0
     max_vertices: int = 10 ** 6
     max_iterations: int = 64
-    max_repairs: int | None = None  # defaults to (target count)^2
     oracle_degree: int = 8
     modulus_bound: int = 10 ** 6
     lemma1_attempts: int = 10_000

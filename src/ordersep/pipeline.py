@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .config import RunConfig, sub_seed
-from .covergraph import cayley_base, induced_graph, word_order
+from .covergraph import CoverGraph, cayley_base, induced_graph, word_order
 from .errors import (
     ConjugatePair,
     EmptyTargets,
@@ -49,7 +50,7 @@ from .words import (
     primitive_root,
 )
 
-SMALL_FIBERS = range(2, 9)  # fiber sizes a cross-class repair tries before Lemma 3
+SMALL_FIBERS = range(2, 9)  # fiber sizes of the small-action repair candidate
 SMALL_DRAWS = 16  # random fiber assignments per size
 
 
@@ -453,29 +454,8 @@ def hyperbolic_classes(
 # finite-stage separation and certificate assembly
 # ---------------------------------------------------------------------------
 
-def _orders_on(components: list[Component], words: list[NormalForm]) -> dict[int, int]:
-    return {
-        i: math.lcm(*(word_order(c.graph, w) for c in components)) if components else 1
-        for i, w in enumerate(words)
-    }
-
-
-def _primes_of_orders(components: list[Component], words: list[NormalForm]) -> set[int]:
-    out: set[int] = set()
-    for comp in components:
-        for w in words:
-            out |= set(factorization(word_order(comp.graph, w)))
-    return out
-
-
-def _distinct_pairs(orders: dict[int, int]) -> set[tuple[int, int]]:
-    keys = sorted(orders)
-    return {
-        (i, j)
-        for n, i in enumerate(keys)
-        for j in keys[n + 1:]
-        if orders[i] != orders[j]
-    }
+def _colliding(orders: dict[int, int]) -> set[tuple[int, int]]:
+    return {(i, j) for i in orders for j in orders if i < j and orders[i] == orders[j]}
 
 
 def _finite_stage(
@@ -489,47 +469,38 @@ def _finite_stage(
     product action and add lemma components only for pairs whose orders
     collide, one pair per repair round.
 
-    Each round must keep every pair that was already distinct: a small
-    action is kept only if it does; the vs-factor repair and Lemma 3 use only
-    primes dividing no current order, so they cannot merge two orders; the
-    same-class repair may reuse a prime, and the round's assertion guards it.
+    One rule accepts a round's candidate component: it must give the round's
+    pair distinct orders and leave colliding only pairs that collided
+    before.  The colliding set so shrinks every round, and at most C(n, 2)
+    rounds run.
     """
-    components = [
-        Component(
-            cayley_base(*rfactors.groups(), max_vertices=config.max_vertices),
-            None,
-            "factor product action",
-        )
-    ]
+    base = cayley_base(*rfactors.groups(), max_vertices=config.max_vertices)
+    components = [Component(base, None, "factor product action")]
     classes = hyperbolic_classes(classify_targets(mapped)[2], mapped, rfactors)
-    orders = _orders_on(components, mapped)
-    known_distinct = _distinct_pairs(orders)
-    max_repairs = config.max_repairs or max(1, len(mapped) ** 2)
     root_of = {i: n for n, cls in enumerate(classes) for i, _k, _l in cls.members}
-    for round_no in range(max_repairs + 1):
-        collision = next(
-            (
-                (i, j)
-                for i in sorted(orders)
-                for j in sorted(orders)
-                if i < j and orders[i] == orders[j]
-            ),
-            None,
-        )
-        if collision is None:
-            break
-        if round_no == max_repairs:
-            raise RepairBudgetExceeded(f"collision {collision} persists")
-        i, j = collision
+    orders = {n: word_order(base, w) for n, w in enumerate(mapped)}
+    round_no = 0
+    while colliding := _colliding(orders):
+        i, j = min(colliding)
+
+        def accepts(graphs: list[CoverGraph]) -> bool:
+            """Whether adding ``graphs`` parts (i, j) and merges no other
+            pair; on acceptance their orders become the stage's orders."""
+            nonlocal orders
+            new = {
+                n: math.lcm(o, *(word_order(g, mapped[n]) for g in graphs))
+                for n, o in orders.items()
+            }
+            if new[i] == new[j] or not _colliding(new) <= colliding:
+                return False
+            orders = new
+            return True
+
         components.extend(
-            _repair_pair(i, j, mapped, classes, root_of, components, rfactors, config,
-                         sub_seed(seed, "repair", round_no), transcript)
+            _repair_pair(i, j, mapped, classes, root_of, components, orders, rfactors, config,
+                         sub_seed(seed, "repair", round_no), transcript, accepts)
         )
-        orders = _orders_on(components, mapped)
-        now_distinct = _distinct_pairs(orders)
-        if not known_distinct <= now_distinct:
-            raise InternalError("repair round lost a previously distinct pair")
-        known_distinct = now_distinct
+        round_no += 1
     return components, orders
 
 
@@ -540,69 +511,91 @@ def _repair_pair(
     classes: list[HyperClass],
     root_of: dict[int, int],
     components: list[Component],
+    orders: dict[int, int],
     rfactors: Factors,
     config: RunConfig,
     seed: int,
     transcript: list[dict],
+    accepts: Callable[[list[CoverGraph]], bool],
 ) -> list[Component]:
+    """The first candidate component(s) for the colliding pair (i, j) that
+    ``accepts`` takes, tried in a fixed order per kind of pair:
+
+    - same class: a Lemma 1 boost of the class root at each prime where the
+      two members' valuation profiles differ, ascending, then a small action;
+    - two classes: a small action, then Lemma 3 on the two roots;
+    - a hyperbolic target against a factor element: a Lemma 1 boost at a
+      prime dividing no current order.
+
+    Raises ``RepairBudgetExceeded`` naming the stage and the pair when no
+    candidate is accepted.
+    """
     in_i, in_j = i in root_of, j in root_of
-    used = _primes_of_orders(components, mapped)
     ga, gb = rfactors.groups()
-    used |= set(factorization(ga.n)) | set(factorization(gb.n))
+    used = set().union(*map(factorization, [*orders.values(), ga.n, gb.n]))
     if in_i and in_j and root_of[i] == root_of[j]:
+        stage = "repair-same-class"
         cls = classes[root_of[i]]
         data = {idx: (k, l) for idx, k, l in cls.members}
         (ki, li), (kj, lj) = data[i], data[j]
         if li * abs(kj) == lj * abs(ki):
             raise InternalError("same-class pair with matching power profile")
-        p = 2
-        while (
-            valuation(p, li) - valuation(p, abs(ki))
-            == valuation(p, lj) - valuation(p, abs(kj))
-        ):
-            p = fresh_prime(set(range(2, p + 1)))
-        ceiling = max(
-            valuation(p, word_order(c.graph, cls.root)) for c in components
-        ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
-        comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
-        transcript.append({"stage": "repair-same-class", "pair": [i, j], "prime": p})
-        return [comp]
-    if in_i and in_j:
-        comp = _small_action(i, j, mapped, components, rfactors, config, seed)
+        for p in sorted(factorization(li * abs(ki) * lj * abs(kj))):
+            if (
+                valuation(p, li) - valuation(p, abs(ki))
+                == valuation(p, lj) - valuation(p, abs(kj))
+            ):
+                continue
+            ceiling = max(
+                valuation(p, word_order(c.graph, cls.root)) for c in components
+            ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
+            comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
+            if accepts([comp.graph]):
+                transcript.append({"stage": stage, "pair": [i, j], "prime": p})
+                return [comp]
+        comp = _small_action(accepts, rfactors, config, seed)
         if comp is not None:
-            transcript.append({"stage": "repair-cross-class", "pair": [i, j], "action": comp.note})
+            transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
+            return [comp]
+    elif in_i and in_j:
+        stage = "repair-cross-class"
+        comp = _small_action(accepts, rfactors, config, seed)
+        if comp is not None:
+            transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
             return [comp]
         res = lemma3_separate(
             [classes[root_of[i]].root, classes[root_of[j]].root], used, rfactors,
             seed=seed, config=config,
         )
-        transcript.append({"stage": "repair-cross-class", "pair": [i, j]})
-        return res.components
-    if in_i or in_j:
+        if accepts([c.graph for c in res.components]):
+            transcript.append({"stage": stage, "pair": [i, j]})
+            return res.components
+    elif in_i or in_j:
+        stage = "repair-vs-factor"
         idx = i if in_i else j
         cls = classes[root_of[idx]]
         k = next(k for member, k, _l in cls.members if member == idx)
         p = fresh_prime(used)
         # the target powers into root^k: p divides its order once the root's exceeds k's p-part
         comp = lemma1_boost([cls.root], p, valuation(p, abs(k)), rfactors, seed=seed, config=config)
-        transcript.append({"stage": "repair-vs-factor", "pair": [i, j], "prime": p})
-        return [comp]
-    raise InternalError(f"factor targets {i},{j} collide after reduction")
+        if accepts([comp.graph]):
+            transcript.append({"stage": stage, "pair": [i, j], "prime": p})
+            return [comp]
+    else:
+        raise InternalError(f"factor targets {i},{j} collide after reduction")
+    raise RepairBudgetExceeded(f"{stage}: no candidate parts pair {(i, j)} without merging another")
 
 
 def _small_action(
-    i: int, j: int, mapped: list[NormalForm], components: list[Component],
-    rfactors: Factors, config: RunConfig, seed: int,
+    accepts: Callable[[list[CoverGraph]], bool], rfactors: Factors, config: RunConfig, seed: int,
 ) -> Component | None:
-    """A component induced from random fiber permutations on 2, 3, ...
-    points on which targets i and j get distinct orders and no distinct pair
-    merges, or None.  Lemma 1's wreath p-groups give two hyperbolic roots
-    the same order almost surely, and the Lemma 2 surgery inside Lemma 3
-    can grow without bound; a small symmetric fiber usually separates them."""
+    """The first component induced from random fiber permutations on 2, 3,
+    ... points that ``accepts`` takes, or None.  Lemma 1's wreath p-groups
+    give two hyperbolic roots the same order almost surely, and the Lemma 2
+    surgery inside Lemma 3 can grow without bound; a small symmetric fiber
+    usually tells two targets apart."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
-    old = _orders_on(components, mapped)
-    before = _distinct_pairs(old)
     rng = random.Random(seed)
     for y in SMALL_FIBERS:
         if ga.n * gb.n * y > config.max_vertices:
@@ -610,9 +603,7 @@ def _small_action(
         for _draw in range(SMALL_DRAWS):
             psi = [Permutation(y, tuple(rng.sample(range(y), y))) for _ in range(rank)]
             graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
-            new = {n: math.lcm(o, word_order(graph, mapped[n])) for n, o in old.items()}
-            after = _distinct_pairs(new)
-            if (i, j) in after and before <= after:
+            if accepts([graph]):
                 return Component(graph, None, f"small action on fiber {y}")
     return None
 

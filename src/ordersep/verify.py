@@ -74,13 +74,16 @@ def _hom_ok(hom: dict, source: dict) -> str | None:
     err = _mul_table_ok(table)
     if err:
         return f"target not a group: {err}"
-    if hom["kind"] == "finite":
+    kind = hom.get("kind")
+    if kind == "finite":
         if source.get("type") != "finite":
             return "finite hom on non-finite factor"
         src = source["table"]
-        mapping = hom["map"]
-        if len(mapping) != len(src) or mapping[0] != 0:
+        mapping = hom.get("map")
+        if not isinstance(mapping, list) or len(mapping) != len(src) or mapping[0] != 0:
             return "map shape wrong"
+        if any(type(m) is not int or not 0 <= m < len(table) for m in mapping):
+            return "map entry out of range"
         # row by row: map(x*y) over all y against map(x)*map(y)
         for x, row in enumerate(src):
             image_row = table[mapping[x]]
@@ -88,13 +91,13 @@ def _hom_ok(hom: dict, source: dict) -> str | None:
                 y = next(y for y, z in enumerate(row) if mapping[z] != image_row[mapping[y]])
                 return f"not a homomorphism at ({x},{y})"
         return None
-    if hom["kind"] == "infinite_cyclic":
+    if kind == "infinite_cyclic":
         if source.get("type") != "infinite_cyclic":
             return "modulus hom on finite factor"
         if hom.get("modulus") != len(table):
             return "modulus does not match target size"
         return None
-    return f"unknown hom kind {hom.get('kind')!r}"
+    return f"unknown hom kind {kind!r}"
 
 
 def _map_syllables(word: list[tuple[int, int]], homs: list[dict]) -> list[tuple[int, int]]:
@@ -148,6 +151,8 @@ def _column_error(column: list, identity: list, f: int, c: int) -> str | None:
 
 
 def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
+    if not isinstance(graph, dict):
+        return "missing graph"
     vcount = graph.get("vcount")
     if not isinstance(vcount, int) or vcount < 1:
         return "bad vertex count"
@@ -219,8 +224,18 @@ def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     and compares recomputed orders and their pairwise distinctness with the
     claims.  A ``product`` graph, which only certificates from older builds
     carry, must be valid and give every target its component-lcm order.
+    Malformed data of any shape gives a failing report, not an exception.
     """
     report = VerifyReport()
+    try:
+        return _check_certificate(report, instance_data, cert_data)
+    except (LookupError, TypeError, ValueError, AttributeError) as exc:
+        report.failures.append(f"malformed data: {exc!r}")
+        return report
+
+
+def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dict) -> VerifyReport:
+    """The checks of ``verify_certificate``, failures added to ``report``."""
 
     def fail(msg: str) -> VerifyReport:
         report.failures.append(msg)
@@ -254,7 +269,7 @@ def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     for n, comp in enumerate(components):
         if comp.get("type") != "graph":
             return fail(f"component {n}: unknown type {comp.get('type')!r}")
-        err = _graph_ok(comp["graph"], hom_tables)
+        err = _graph_ok(comp.get("graph"), hom_tables)
         if err:
             return fail(f"component {n}: {err}")
         graph_components.append(comp["graph"])

@@ -18,6 +18,33 @@ from ordersep.words import IDENTITY, Factors, NormalForm, invert, multiply
 
 WREATH_POINT_BOUND = 2 ** 16
 
+# ten Z/2*Z/3 targets alternating a and b^(+-1), 2-16 syllables each, drawn
+# with random.Random(seed) and pairwise non-conjugate up to inversion; in
+# each, a same-class Lemma 1 boost would merge two distinct orders (seed 15:
+# pair (0, 6)'s boost at p=2 merges targets 3 and 5; seed 21: pair (2, 7)'s
+# raises the number of colliding pairs from 2 to 3)
+TEN_TARGETS = {
+    15: "abababab ab aBabab aBaBaBaBaBaB abaBaBab aBabaBaBaB aBaB aBaBaBabaBababab "
+        "aBaBababaBababaB abaBaBababaBaBaB",
+    21: "aBaBaB abaBababababaBaB abab abaBaBaB aB abaBabababababaB ababaB abababab "
+        "aBaBaBaBaBaB abaB",
+    34: "abababaBaBab aBaBabababaBaB ab abaB abaBabaBaB aBababaBababaB aBaBaB aBaB "
+        "aBabaBaBabababaB aBaBaBaB",
+    64: "abaBababaBababab aBabababaBabab ababaB abababaB abaBabaBaBaBaB "
+        "ababababaBababab aB aBabaBabab ababababab aBaBaBabaBaB",
+    65: "aBaBabaBaBaBaB ababaBaBabaBab ababababab aBaBababaBaB abababaBaBaBaBab "
+        "aBabaB ab aBababaBaBabaB aBaB aBab",
+    67: "abaB aBaBaBaBaBababab ababaBabab aBaB aBabaBab aBabaB abaBaBabababab "
+        "abaBaBabababaB abaBabaBaB abababaBaBabaB",
+    72: "abaB aBabaBabaBab ab abaBabaBabaBabaB aBaBaBabaB abaBaBabaBaBaBab "
+        "abababaBaBabaBab aBabaB abaBaBababaBabaB aBaBababaBaBaBab",
+}
+
+
+def z2z3_syllables(text: str) -> list[tuple[int, int]]:
+    """Syllables of a Z/2*Z/3 word written with a = (0,1), b = (1,1), B = (1,2)."""
+    return [{"a": (0, 1), "b": (1, 1), "B": (1, 2)}[c] for c in text]
+
 
 def wreath_p_group(p: int, m: int) -> list[Permutation]:
     """Generators of the m-fold iterated wreath power of the cyclic group of

@@ -3,10 +3,12 @@ import json
 
 import pytest
 
-from ordersep import cli
+from ordersep import cli, pipeline
 from ordersep.cli import _build_parser, run_cli
 from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
 from ordersep.groupcore import cyclic_group
+
+from helpers import TEN_TARGETS, z2z3_syllables
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -140,6 +142,46 @@ class TestVerifyCommand:
         cert["orders"]["2"] = 17
         tampered = write(tmp_path, "tampered.json", cert)
         assert run_cli(["verify", inst, tampered]) == 4
+
+
+class TestMalformedCertificate:
+    """``verify`` answers malformed certificate data with a failing report
+    and exit 4, never an exception."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda c: c["factor_homs"][0].update(map=[0, 5]), "factor hom 0: map entry out of range"),
+            (lambda c: c["factor_homs"][0].update(map=[0, "x"]), "factor hom 0: map entry out of range"),
+            (lambda c: c["components"][0].pop("graph"), "component 0: missing graph"),
+            (lambda c: c["factor_homs"][1].pop("kind"), "factor hom 1: unknown hom kind None"),
+        ],
+        ids=["map-out-of-range", "map-not-int", "component-without-graph", "hom-without-kind"],
+    )
+    def test_failing_report(self, tmp_path, capsys, tamper, message):
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        out = tmp_path / "cert.json"
+        assert run_cli(["separate", inst, "--out", str(out)]) == 0
+        cert = json.loads(out.read_text())
+        tamper(cert)
+        capsys.readouterr()
+        assert run_cli(["verify", inst, write(tmp_path, "tampered.json", cert)]) == 4
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "fail"
+        assert report["failures"] == [message]
+
+
+class TestRepairBudget:
+    def test_no_repair_candidate_exit_3(self, tmp_path, capsys, monkeypatch):
+        # seed 15 of the ten-target instances: with no small action, no
+        # candidate parts pair (0, 6) without merging another pair
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        targets = [z2z3_syllables(t) for t in TEN_TARGETS[15].split()]
+        inst = write(tmp_path, "inst.json", instance_z2z3(targets))
+        assert run_cli(["--json", "separate", inst, "--out", str(tmp_path / "c.json")]) == 3
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "RepairBudgetExceeded"
+        assert "repair-same-class" in payload["detail"] and "(0, 6)" in payload["detail"]
 
 
 class TestOracleCommand:

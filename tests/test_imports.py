@@ -8,7 +8,9 @@ level.  The verifier stays independent of construction: ``verify``
 imports no package module but ``errors``, and no construction module
 imports ``verify``.  The third-party modules the package imports are
 exactly the dependencies ``pyproject.toml`` declares (none), and importing
-the CLI loads nothing outside the standard library and the package.
+the CLI loads nothing outside the standard library and the package.  Every
+``RunConfig`` field is read by some module besides ``config``, so no knob
+is a no-op.
 """
 
 import ast
@@ -20,6 +22,8 @@ import tomllib
 from pathlib import Path
 
 import pytest
+
+from ordersep.config import RunConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "ordersep"
@@ -111,3 +115,15 @@ def test_cli_import_loads_only_stdlib_and_ordersep():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_every_config_field_is_read():
+    read = {
+        node.attr
+        for path in PACKAGE.glob("*.py")
+        if path.name != "config.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = sorted(set(RunConfig.__dataclass_fields__) - read)
+    assert not unread, f"RunConfig fields no module reads: {unread}"

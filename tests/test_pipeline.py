@@ -11,6 +11,8 @@ from ordersep.errors import (
     EmptyTargets,
     HypothesisViolation,
     NoFactorHom,
+    ParseError,
+    RepairBudgetExceeded,
     SharedFactorOrder,
 )
 from ordersep.groupcore import cyclic_group
@@ -28,6 +30,8 @@ from ordersep.pipeline import (
 )
 from ordersep.verify import brute_force_search, verify_certificate
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors, normalize, power
+
+from helpers import TEN_TARGETS, z2z3_syllables
 
 A = (0, 1)
 B = (1, 1)
@@ -294,6 +298,42 @@ class TestTheorem12:
         cert = separate(inst)
         assert len(set(cert.orders.values())) == 3
         assert verified(inst, cert).verdict
+
+
+class TestRepairAcceptance:
+    """A repair round keeps a candidate only if it parts its pair and merges
+    no other pair."""
+
+    @staticmethod
+    def ten_targets(factors, seed):
+        words = [normalize(z2z3_syllables(t), factors) for t in TEN_TARGETS[seed].split()]
+        return Instance(factors, words, "theorem12")
+
+    @pytest.mark.parametrize("seed", sorted(TEN_TARGETS))
+    def test_ten_targets(self, f23, seed):
+        inst = self.ten_targets(f23, seed)
+        cert = separate(inst)
+        assert len(set(cert.orders.values())) == 10
+        assert verified(inst, cert).verdict
+        if seed == 15:
+            # pair (0, 6)'s only boost, at p=2, merges targets 3 and 5; a
+            # small action parts the pair instead
+            entry = next(t for t in cert.transcript if t["stage"] == "repair-same-class")
+            assert entry["pair"] == [0, 6] and "action" in entry
+
+    def test_no_candidate_names_stage_and_pair(self, f23, monkeypatch):
+        import ordersep.pipeline as pipeline
+
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        with pytest.raises(RepairBudgetExceeded) as exc:
+            separate(self.ten_targets(f23, 15))
+        assert "repair-same-class" in str(exc.value) and "(0, 6)" in str(exc.value)
+
+    def test_max_repairs_is_not_a_config_key(self, f23):
+        data = instance_to_json(Instance(f23, [AB]))
+        data["config"] = {"max_repairs": 5}
+        with pytest.raises(ParseError):
+            parse_instance(data)
 
 
 class TestTheorem3:
