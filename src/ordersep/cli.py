@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import RunConfig, json_int
 from .covergraph import (
     SurgeryMark,
     gamma_surgery,
@@ -36,9 +36,15 @@ from .lemmas import (
     lemma3_separate,
     lemma4_power_separate,
 )
-from .pipeline import Instance, instance_to_json, parse_factors, parse_instance, separate
+from .pipeline import (
+    Instance,
+    instance_to_json,
+    parse_factors,
+    parse_instance,
+    parse_word,
+    separate,
+)
 from .verify import brute_force_search, verify_certificate
-from .words import normalize
 
 
 def _dump(data: dict) -> str:
@@ -152,35 +158,32 @@ def _cmd_separate(args) -> int:
 def _parse_lemma_common(data: dict):
     factors = parse_factors(data["factors"])
     config = RunConfig.from_json(data.get("config", {}))
-    seed = int(data.get("seed", config.seed))
+    seed = json_int(data.get("seed", config.seed), "seed")
     return factors, config, seed
-
-
-def _parse_words(raw, factors):
-    return [normalize([(int(f), int(v)) for f, v in w], factors) for w in raw]
 
 
 def _cmd_lemma(args, name: str) -> int:
     data = _load_json(args.args)
     factors, config, seed = _parse_lemma_common(data)
     if name == "lemma1":
-        targets = _parse_words(data["targets"], factors)
+        targets = [parse_word(w, factors) for w in data["targets"]]
         comp = lemma1_boost(
-            targets, int(data["p"]), int(data["n"]), factors, seed=seed, config=config
+            targets, json_int(data["p"], "p"), json_int(data["n"], "n"), factors,
+            seed=seed, config=config,
         )
         res = SeparationResult(
             [comp], {i: word_order(comp.graph, w) for i, w in enumerate(targets)}
         )
     elif name == "lemma2":
-        targets = _parse_words(data["targets"], factors)
-        res = lemma2_declose(targets, int(data["p"]), factors, seed=seed, config=config)
+        targets = [parse_word(w, factors) for w in data["targets"]]
+        res = lemma2_declose(targets, json_int(data["p"], "p"), factors, seed=seed, config=config)
     elif name == "lemma3":
-        targets = _parse_words(data["targets"], factors)
-        pi = {int(p) for p in data.get("pi", [])}
+        targets = [parse_word(w, factors) for w in data["targets"]]
+        pi = {json_int(p, "pi entry") for p in data.get("pi", [])}
         res = lemma3_separate(targets, pi, factors, seed=seed, config=config)
     else:
-        word = _parse_words([data["word"]], factors)[0]
-        exponents = [int(k) for k in data["exponents"]]
+        word = parse_word(data["word"], factors)
+        exponents = [json_int(k, "exponent") for k in data["exponents"]]
         res = lemma4_power_separate(word, exponents, factors, seed=seed, config=config)
     text = _dump(_separation_json(res))
     if args.out:
@@ -220,15 +223,18 @@ def _cmd_graph(args) -> int:
         return 0
     if args.action == "surgery":
         graph = graph_from_json(data["graph"])
-        marks = [SurgeryMark(int(v), int(f)) for v, f in data["marks"]]
-        out = gamma_surgery(graph, int(data["t"]), marks)
+        marks = [
+            SurgeryMark(json_int(v, "mark vertex"), json_int(f, "mark factor"))
+            for v, f in data["marks"]
+        ]
+        out = gamma_surgery(graph, json_int(data["t"], "t"), marks)
         sys.stdout.write(_dump(graph_to_json(out)))
         return 0
     graphs = [graph_from_json(g) for g in data["graphs"]]
     if len(graphs) != 2:
         raise ParseError("product expects exactly two graphs")
-    base = tuple(data.get("base", (0, 0)))
-    out = synchronized_product(graphs[0], graphs[1], base=(int(base[0]), int(base[1])))
+    base = [json_int(v, "base vertex") for v in data.get("base", (0, 0))]
+    out = synchronized_product(graphs[0], graphs[1], base=(base[0], base[1]))
     sys.stdout.write(_dump(graph_to_json(out)))
     return 0
 

@@ -46,10 +46,20 @@ class RunConfig:
         bad = set(data) - known
         if bad:
             raise ParseError(f"unknown config keys {sorted(bad)}")
+        for key, value in data.items():
+            json_int(value, f"config {key}")
         try:
             return replace(cls(), **data)
         except (TypeError, ParseError) as exc:
             raise ParseError(f"bad config: {exc}") from exc
+
+
+def json_int(value: object, what: str) -> int:
+    """``value`` if it is an integer; a real, a boolean or a string from
+    outside the program is rejected, not truncated or converted."""
+    if type(value) is not int:  # bool is a subclass of int
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def sub_seed(seed: int, *tags: object) -> int:

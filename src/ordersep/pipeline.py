@@ -1,16 +1,19 @@
 """Instance-level orchestration: hypothesis checks, factor reduction, class
-decomposition of hyperbolic targets, lemma dispatch, certificate assembly,
-and the distinctness repair loop.
+decomposition of hyperbolic targets, the finite stage with its distinctness
+repair loop, and certificate assembly.  One factor-hom search,
+``reduce_factors``, serves every target shape except two factor elements on
+one side and one on the other, which ``run_theorem3`` handles itself.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .config import RunConfig, sub_seed
+from .config import RunConfig, json_int, sub_seed
 from .covergraph import CoverGraph, cayley_base, induced_graph, word_order
 from .errors import (
     ConjugatePair,
@@ -110,6 +113,13 @@ def parse_factors(data: list) -> Factors:
     return Factors((specs[0], specs[1]))
 
 
+def parse_word(raw: list, factors: Factors) -> NormalForm:
+    """The normal form of a word given as ``[factor, value]`` syllables."""
+    return normalize(
+        [(json_int(f, "syllable factor"), json_int(v, "syllable value")) for f, v in raw], factors
+    )
+
+
 def instance_to_json(inst: Instance) -> dict:
     factors = []
     for spec in inst.factors.specs:
@@ -130,11 +140,7 @@ def parse_instance(data: dict) -> Instance:
         if data.get("schema", 1) != 1:
             raise ParseError(f"unsupported schema {data.get('schema')}")
         factors = parse_factors(data["factors"])
-        raw_targets = data["targets"]
-        targets = []
-        for raw in raw_targets:
-            syllables = [(int(f), int(v)) for f, v in raw]
-            targets.append(normalize(syllables, factors))
+        targets = [parse_word(raw, factors) for raw in data["targets"]]
         mode = data.get("mode", "auto")
         config = RunConfig.from_json(data.get("config", {}))
         return Instance(factors, targets, mode, config)
@@ -186,20 +192,16 @@ def classify_targets(reduced: list[NormalForm]) -> tuple[list[int], list[int], l
 # factor reduction
 # ---------------------------------------------------------------------------
 
-def _factor_conjugate_up_to_inv(spec: FactorSpec, x: int, y: int) -> bool:
-    if not spec.is_finite:
-        return x == y or x == -y
-    g = spec.group
-    return any(g.conjugate(h, x) == y or g.conjugate(h, g.inv[x]) == y for h in g.elements())
-
-
 def _lambda_sets(
     spec: FactorSpec, factor_index: int, reduced: list[NormalForm],
     factor_targets: list[int], gamma: list[int],
 ) -> tuple[list[int], list[int]]:
-    """(Lambda, Lambda') for one factor: targets, gamma syllables and their
-    pairwise quotients; then a greedy maximal non-conjugate-up-to-inversion
-    subset led by the identity."""
+    """(Lambda, Lambda') for one factor.  Lambda holds the identity, the
+    factor targets' values, the hyperbolic targets' syllables on this factor
+    and their pairwise quotients: each nontrivial one must stay alive.
+    Lambda' is the identity and the distinct factor-target values, whose
+    images must get pairwise distinct orders; ``check_hypotheses`` has made
+    those values pairwise non-conjugate up to inversion."""
     lam: list[int] = [0]
     def add(v: int) -> None:
         if v not in lam:
@@ -208,6 +210,7 @@ def _lambda_sets(
     for i in factor_targets:
         w = reduced[i]
         add(w.syllables[0][1] if len(w) == 1 else 0)
+    lam_prime = list(lam)
     omega: list[int] = []
     for i in gamma:
         for f, v in reduced[i].syllables:
@@ -221,10 +224,6 @@ def _lambda_sets(
                 add(spec.group.mul(vj, spec.group.inv[vk]))
             else:
                 add(vj - vk)
-    lam_prime: list[int] = []
-    for v in lam:
-        if not any(_factor_conjugate_up_to_inv(spec, v, kept) for kept in lam_prime):
-            lam_prime.append(v)
     return lam, lam_prime
 
 
@@ -342,14 +341,20 @@ def reduce_factors(
     inst: Instance, reduced: list[NormalForm],
     partition: tuple[list[int], list[int], list[int]],
 ) -> tuple[tuple[FactorHom, FactorHom], Factors, list[NormalForm]]:
-    """Search factor quotients (or moduli) making the relevant element orders
-    distinct while keeping every needed element alive, then map the targets.
+    """Search factor quotients (or moduli) for what the finite stage cannot
+    repair, then map the targets.  This is the one factor-hom search: every
+    target shape but two factor elements on one side and one on the other
+    comes here.
 
-    Conditions per candidate pair: (a) distinct orders on each factor's
-    selected representatives, (b) no nontrivial selected element dies,
-    (c) factor-0 and factor-1 target images have pairwise distinct orders,
-    (d) mapped targets stay pairwise non-conjugate up to inversion and
-    hyperbolic targets keep their syllable count.
+    On the factor product action a factor element's order is the order of
+    its image, and no repair round changes that; collisions that involve a
+    hyperbolic target are parted by the repair loop.  So the conditions per
+    candidate pair are: (a) on each factor, the identity and the factor
+    targets get pairwise distinct image orders; (b) no nontrivial factor
+    target, hyperbolic syllable or quotient of two syllables on the same
+    factor dies; (c) factor-0 and factor-1 target images have pairwise
+    distinct orders; (d) mapped targets stay pairwise non-conjugate up to
+    inversion and hyperbolic targets keep their syllable count.
     """
     alpha, beta, gamma = partition
     lams = [
@@ -374,14 +379,15 @@ def reduce_factors(
         if set(orders_alpha) & set(orders_beta):
             return None
         mapped = [map_word(w, homs, rfactors) for w in reduced]
-        # (d): hyperbolic shape and pairwise non-conjugacy preserved
+        # (d): hyperbolic shape and pairwise non-conjugacy preserved; only two
+        # hyperbolic images can be conjugate, as factor-target images have
+        # distinct orders by (a) and (c) and a hyperbolic image keeps its shape
         for i in gamma:
             if len(mapped[i]) != len(reduced[i]) or not is_cyclically_reduced(mapped[i]):
                 return None
-        for i in range(len(mapped)):
-            for j in range(i + 1, len(mapped)):
-                if is_conjugate(mapped[i], mapped[j], rfactors, allow_inverse=True):
-                    return None
+        for i, j in itertools.combinations(gamma, 2):
+            if is_conjugate(mapped[i], mapped[j], rfactors, allow_inverse=True):
+                return None
         return homs, rfactors, mapped
 
     return _search_hom_pair(
@@ -639,15 +645,14 @@ def assemble_certificate(
 
 def _certify(
     homs: tuple[FactorHom, FactorHom],
-    reduced: list[NormalForm],
+    rfactors: Factors,
+    mapped: list[NormalForm],
     inst: Instance,
     seed_tag: str,
     transcript: list[dict],
 ) -> Certificate:
-    """Map the targets through ``homs``, separate them over the finite
-    quotients and bundle the result."""
-    rfactors = finite_factors(homs[0].target, homs[1].target)
-    mapped = [map_word(t, homs, rfactors) for t in reduced]
+    """Separate the targets' images under ``homs`` over the finite quotients
+    ``rfactors`` and bundle the result."""
     components, orders = _finite_stage(
         rfactors, mapped, inst.config, sub_seed(inst.config.seed, seed_tag), transcript
     )
@@ -657,14 +662,14 @@ def _certify(
 def run_theorem12(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
     reduced = reduced if reduced is not None else check_hypotheses(inst)
     transcript: list[dict] = [{"stage": "mode", "value": "theorem12"}]
-    homs, _rfactors, _mapped = reduce_factors(inst, reduced, classify_targets(reduced))
+    homs, rfactors, mapped = reduce_factors(inst, reduced, classify_targets(reduced))
     transcript.append(
         {
             "stage": "reduced",
             "factor_sizes": [homs[0].target.n, homs[1].target.n],
         }
     )
-    return _certify(homs, reduced, inst, "t12", transcript)
+    return _certify(homs, rfactors, mapped, inst, "t12", transcript)
 
 
 def _trivial_hom(spec: FactorSpec) -> FactorHom:
@@ -675,181 +680,84 @@ def _trivial_hom(spec: FactorSpec) -> FactorHom:
     return FactorHom(kind="infinite_cyclic", target=cyclic_group(1), modulus=1)
 
 
-def _syllables_survive(w: NormalForm, f: int, hom: FactorHom) -> bool:
-    return all(hom.apply(v) != 0 for ff, v in w.syllables if ff == f)
-
-
 def run_theorem3(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
-    """Mixed-case driver for up to three targets; targets that all avoid one
-    factor go to the general pipeline."""
+    """Mixed-case entry for up to three targets: two factor elements on one
+    side and one on the other take ``_two_on_one_side``; every other shape
+    goes to ``run_theorem12``."""
     reduced = reduced if reduced is not None else check_hypotheses(inst)
     if len(reduced) > 3:
         raise HypothesisViolation("theorem3 supports at most 3 targets")
     sides: dict[int, list[int]] = {0: [], 1: []}
-    hypers: list[int] = []
     for i, w in enumerate(reduced):
-        if len(w) >= 2:
-            hypers.append(i)
-        elif len(w) == 1:
+        if len(w) == 1:
             sides[w.syllables[0][0]].append(i)
-    if not sides[0] or not sides[1]:
-        # all targets avoid one factor: the general machinery applies as is
+    if sorted(map(len, sides.values())) != [1, 2]:
         return run_theorem12(inst, reduced)
-
-    # with both sides taken, at most one of the three targets is hyperbolic
-    transcript: list[dict] = [{"stage": "mode", "value": "theorem3"}]
-    if hypers:
-        return _theorem3_case_one(inst, reduced, sides[0][0], sides[1][0], hypers[0], transcript)
-    return _theorem3_case_two(inst, reduced, sides, transcript)
+    return _two_on_one_side(inst, reduced, sides)
 
 
-def _theorem3_case_one(
-    inst: Instance,
-    reduced: list[NormalForm],
-    u_idx: int,
-    v_idx: int,
-    w_idx: int,
-    transcript: list[dict],
-) -> Certificate:
-    """One nontrivial element per side plus a hyperbolic target: pick factor
-    homs keeping both elements alive with distinct orders and the hyperbolic
-    shape intact, then run the finite stage."""
-    factors = inst.factors
-    w = reduced[w_idx]
-    bound = inst.config.modulus_bound
-    u_val = reduced[u_idx].syllables[0][1]
-    v_val = reduced[v_idx].syllables[0][1]
-    v_finite_order = None
-    if factors.spec(1).is_finite:
-        v_finite_order = element_order(factors.spec(1).group, v_val)
-
-    def feasible0(h0: FactorHom) -> bool:
-        img_order = _hom_order(h0, u_val)
-        if img_order == 1:
-            return False
-        # an infinite-order element beside a finite-order one must not
-        # land on a divisor of the finite order
-        if not factors.spec(0).is_finite and v_finite_order is not None:
-            if v_finite_order % img_order == 0:
-                return False
-        return _syllables_survive(w, 0, h0)
-
-    def feasible1(h1: FactorHom) -> bool:
-        if _hom_order(h1, v_val) == 1:
-            return False
-        return _syllables_survive(w, 1, h1)
-
-    def try_pair(h0: FactorHom, h1: FactorHom):
-        # the second element must survive raising to the first's order,
-        # which also forces the two image orders apart
-        if _hom_order(h0, u_val) % _hom_order(h1, v_val) == 0:
-            return None
-        homs = (h0, h1)
-        image = map_word(w, homs, finite_factors(h0.target, h1.target))
-        if len(image) != len(w) or not is_cyclically_reduced(image):
-            return None
-        transcript.append({"stage": "case", "value": "mixed-with-hyperbolic"})
-        return _certify(homs, reduced, inst, "t3c1", transcript)
-
-    return _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
-
-
-def _theorem3_case_two(
+def _two_on_one_side(
     inst: Instance,
     reduced: list[NormalForm],
     sides: dict[int, list[int]],
-    transcript: list[dict],
 ) -> Certificate:
-    """All targets are factor elements, on both sides.  On the factor product
-    action a factor element's order is the order of its image, so each
-    branch picks homs by image orders alone and certifies with no repair.
+    """Two nontrivial factor elements on one side and one on the other.  On
+    the factor product action a factor element's order is the order of its
+    image, so homs are picked by image orders alone and certify with no
+    repair.
 
-    Two nontrivial elements on one side take a quotient of that side giving
-    them distinct orders: with both alive and the other side retracted away,
-    or, failing that, one of them possibly dying and the other side's target
-    keeping an order apart from both.  One element on each side (plus
-    possibly the identity) takes a hom pair giving the two distinct
-    orders.
+    The double side takes a quotient giving its two elements distinct
+    orders: with both alive and the other side retracted away, or, failing
+    that, one of them possibly dying and the other side's target keeping an
+    order apart from both.  Both ways let a target die, which
+    ``reduce_factors`` never does.
     """
     factors = inst.factors
     bound = inst.config.modulus_bound
-    double_side = 0 if len(sides[0]) == 2 else (1 if len(sides[1]) == 2 else None)
-    if double_side is not None:
-        s = double_side
-        other = 1 - s
-        i1, i2 = sides[s]
-        v1 = reduced[i1].syllables[0][1]
-        v2 = reduced[i2].syllables[0][1]
-        v3 = reduced[sides[other][0]].syllables[0][1]
-
-        def certificate(hom: FactorHom, other_hom: FactorHom, case: str) -> Certificate:
-            transcript.append({"stage": "case", "value": case})
-            homs = (hom, other_hom) if s == 0 else (other_hom, hom)
-            return _certify(homs, reduced, inst, "t3c2", transcript)
-
-        # each factor's candidates are built once and re-read by the loops
-        # below (a modulus stream stays lazy)
-        homs_s = _Replay(_candidate_stream(factors.spec(s), bound))
-        homs_other = _Replay(_candidate_stream(factors.spec(other), bound))
-        for hom in homs_s:
-            o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
-            if o1 == 1 or o2 == 1 or o1 == o2:
-                continue
-            return certificate(
-                hom, _trivial_hom(factors.spec(other)), "two-on-one-side-retraction"
-            )
-        # no quotient keeps both alive apart: let one die and keep the third
-        # target's image order away from both
-        for hom in homs_s:
-            o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
-            if o1 == o2:
-                continue
-            for other_hom in homs_other:
-                if _hom_order(other_hom, v3) not in (o1, o2):
-                    return certificate(hom, other_hom, "two-on-one-side-quotient")
-        if factors.spec(s).is_finite:
-            raise NoFactorHom("no quotient separates the two same-side elements")
-        raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
-
-    # one element on each side (plus possibly the identity target)
-    i0 = sides[0][0]
-    i1 = sides[1][0]
-    v0 = reduced[i0].syllables[0][1]
+    transcript: list[dict] = [{"stage": "mode", "value": "theorem3"}]
+    s = 0 if len(sides[0]) == 2 else 1
+    other = 1 - s
+    i1, i2 = sides[s]
     v1 = reduced[i1].syllables[0][1]
-    finite1 = factors.spec(1).is_finite
+    v2 = reduced[i2].syllables[0][1]
+    v3 = reduced[sides[other][0]].syllables[0][1]
 
-    def feasible0(h0: FactorHom) -> bool:
-        o0 = _hom_order(h0, v0)
-        if o0 == 1:
-            return False
-        if not factors.spec(0).is_finite and finite1:
-            # an infinite-order element beside a finite-order one must not
-            # land on a divisor of the finite order
-            if element_order(factors.spec(1).group, v1) % o0 == 0:
-                return False
-        return True
+    def certificate(hom: FactorHom, other_hom: FactorHom, case: str) -> Certificate:
+        transcript.append({"stage": "case", "value": case})
+        homs = (hom, other_hom) if s == 0 else (other_hom, hom)
+        rfactors = finite_factors(homs[0].target, homs[1].target)
+        mapped = [map_word(t, homs, rfactors) for t in reduced]
+        return _certify(homs, rfactors, mapped, inst, "t3c2", transcript)
 
-    def feasible1(h1: FactorHom) -> bool:
-        return _hom_order(h1, v1) != 1
-
-    def try_pair(h0: FactorHom, h1: FactorHom):
-        # both images are nontrivial, so the identity target stays apart
-        if _hom_order(h0, v0) == _hom_order(h1, v1):
-            return None
-        transcript.append({"stage": "case", "value": "one-each-side"})
-        return _certify((h0, h1), reduced, inst, "t3c2", transcript)
-
-    return _search_hom_pair(factors.specs, bound, [feasible0, feasible1], try_pair)
+    # each factor's candidates are built once and re-read by the loops
+    # below (a modulus stream stays lazy)
+    homs_s = _Replay(_candidate_stream(factors.spec(s), bound))
+    homs_other = _Replay(_candidate_stream(factors.spec(other), bound))
+    for hom in homs_s:
+        o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
+        if o1 == 1 or o2 == 1 or o1 == o2:
+            continue
+        return certificate(
+            hom, _trivial_hom(factors.spec(other)), "two-on-one-side-retraction"
+        )
+    # no quotient keeps both alive apart: let one die and keep the third
+    # target's image order away from both
+    for hom in homs_s:
+        o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
+        if o1 == o2:
+            continue
+        for other_hom in homs_other:
+            if _hom_order(other_hom, v3) not in (o1, o2):
+                return certificate(hom, other_hom, "two-on-one-side-quotient")
+    if factors.spec(s).is_finite:
+        raise NoFactorHom("no quotient separates the two same-side elements")
+    raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
 
 
 def separate(inst: Instance) -> Certificate:
     """Mode dispatch: certificates for the instance's targets."""
     reduced = check_hypotheses(inst)
-    if inst.mode == "theorem12":
-        return run_theorem12(inst, reduced)
-    if inst.mode == "theorem3":
-        return run_theorem3(inst, reduced)
-    # auto: the mixed-case driver routes shapes it does not cover onward
-    if len(reduced) > 3:
+    # theorem3 mode admits at most three targets; auto routes more onward
+    if inst.mode == "theorem12" or len(reduced) > 3:
         return run_theorem12(inst, reduced)
     return run_theorem3(inst, reduced)

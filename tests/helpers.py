@@ -46,6 +46,12 @@ def z2z3_syllables(text: str) -> list[tuple[int, int]]:
     return [{"a": (0, 1), "b": (1, 1), "B": (1, 2)}[c] for c in text]
 
 
+def power_syllables(text: str) -> list[tuple[int, int]]:
+    """Syllables of a word written as space-separated powers of the factor
+    generators a and b: ``"a3 b a2"`` is a^3 b a^2."""
+    return [(0 if tok[0] == "a" else 1, int(tok[1:] or 1)) for tok in text.split()]
+
+
 def wreath_p_group(p: int, m: int) -> list[Permutation]:
     """Generators of the m-fold iterated wreath power of the cyclic group of
     order p, acting on p^m points (a Sylow p-subgroup of the symmetric group).

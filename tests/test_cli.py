@@ -184,6 +184,77 @@ class TestRepairBudget:
         assert "repair-same-class" in payload["detail"] and "(0, 6)" in payload["detail"]
 
 
+class TestIntegerInputs:
+    """An integer read from an input file is checked, never truncated or
+    converted: a real, a boolean or a string is a parse error (exit 5)."""
+
+    @staticmethod
+    def run_json(argv, capsys):
+        capsys.readouterr()
+        code = run_cli(["--json", *argv])
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+        return code
+
+    @pytest.mark.parametrize("command", ["separate", "verify"])
+    @pytest.mark.parametrize("syllable", [[0, 1.5], [0, True], ["0", "1"]], ids=["real", "bool", "string"])
+    def test_instance_syllable(self, tmp_path, capsys, command, syllable):
+        good = write(tmp_path, "good.json", instance_z2z3(TRIPLE))
+        cert = str(tmp_path / "cert.json")
+        assert run_cli(["separate", good, "--out", cert]) == 0
+        bad = write(tmp_path, "bad.json", instance_z2z3([[syllable], *TRIPLE[1:]]))
+        argv = ["verify", bad, cert] if command == "verify" else ["separate", bad, "--out", cert]
+        assert self.run_json(argv, capsys) == 5
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"seed": "abc"}, {"seed": 1.5}, {"modulus_bound": 2.5}, {"max_vertices": True}],
+        ids=["seed-string", "seed-real", "modulus-bound-real", "max-vertices-bool"],
+    )
+    def test_config_value(self, tmp_path, capsys, config):
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE, config=config))
+        assert self.run_json(["separate", inst, "--out", str(tmp_path / "c.json")], capsys) == 5
+
+    LEMMA_ARGS = {
+        "lemma1": {"targets": [[[0, 1], [1, 1], [0, 1], [1, 2]]], "p": 2, "n": 2, "seed": 1},
+        "lemma3": {"targets": [[[0, 1], [1, 1], [0, 1], [1, 2]], [[0, 1], [1, 1]] * 6], "pi": [3]},
+        "lemma4": {"word": [[0, 1], [1, 1], [0, 1], [1, 2]], "exponents": [1, 2]},
+    }
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("lemma1", "p", 2.0),
+            ("lemma1", "n", True),
+            ("lemma1", "seed", "1"),
+            ("lemma1", "targets", [[[0, 1], [1, 1], [0, 1.0], [1, 2]]]),
+            ("lemma3", "pi", [3.5]),
+            ("lemma4", "exponents", [1, True]),
+        ],
+        ids=["p-real", "n-bool", "seed-string", "syllable-real", "pi-real", "exponent-bool"],
+    )
+    def test_lemma_argument(self, tmp_path, capsys, command, key, value):
+        args = {
+            "factors": [{"type": "finite", "table": Z2}, {"type": "finite", "table": Z3}],
+            **self.LEMMA_ARGS[command],
+            key: value,
+        }
+        assert self.run_json([command, write(tmp_path, "args.json", args)], capsys) == 5
+
+    @pytest.mark.parametrize(
+        "action, data",
+        [
+            ("surgery", {"t": 2.0, "marks": [[0, 0]]}),
+            ("surgery", {"t": 2, "marks": [[0, False]]}),
+            ("product", {"base": [0, True]}),
+        ],
+        ids=["surgery-t-real", "surgery-mark-bool", "product-base-bool"],
+    )
+    def test_graph_argument(self, tmp_path, capsys, action, data):
+        g = graph_to_json(cayley_base(cyclic_group(2), cyclic_group(3)))
+        data = {**data, **({"graph": g} if action == "surgery" else {"graphs": [g, g]})}
+        assert self.run_json(["graph", action, write(tmp_path, "g.json", data)], capsys) == 5
+
+
 class TestOracleCommand:
     def test_oracle_finds(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))

@@ -10,7 +10,8 @@ imports ``verify``.  The third-party modules the package imports are
 exactly the dependencies ``pyproject.toml`` declares (none), and importing
 the CLI loads nothing outside the standard library and the package.  Every
 ``RunConfig`` field is read by some module besides ``config``, so no knob
-is a no-op.
+is a no-op.  The factor-hom search ``_search_hom_pair`` has one user,
+``reduce_factors``, so a second hom search cannot come back unnoticed.
 """
 
 import ast
@@ -127,3 +128,14 @@ def test_every_config_field_is_read():
     }
     unread = sorted(set(RunConfig.__dataclass_fields__) - read)
     assert not unread, f"RunConfig fields no module reads: {unread}"
+
+
+def test_one_factor_hom_search():
+    uses = [
+        (path.name, getattr(top, "name", "<module>"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "_search_hom_pair"
+    ]
+    assert uses == [("pipeline.py", "reduce_factors")]

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 
@@ -7,6 +8,7 @@ import pytest
 from ordersep.config import RunConfig
 from ordersep.covergraph import word_order
 from ordersep.errors import (
+    BudgetExceeded,
     ConjugatePair,
     EmptyTargets,
     HypothesisViolation,
@@ -15,7 +17,7 @@ from ordersep.errors import (
     RepairBudgetExceeded,
     SharedFactorOrder,
 )
-from ordersep.groupcore import cyclic_group
+from ordersep.groupcore import cyclic_group, validate_group
 from ordersep.pipeline import (
     Instance,
     check_hypotheses,
@@ -31,7 +33,7 @@ from ordersep.pipeline import (
 from ordersep.verify import brute_force_search, verify_certificate
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors, normalize, power
 
-from helpers import TEN_TARGETS, z2z3_syllables
+from helpers import TEN_TARGETS, power_syllables, z2z3_syllables
 
 A = (0, 1)
 B = (1, 1)
@@ -298,6 +300,110 @@ class TestTheorem12:
         cert = separate(inst)
         assert len(set(cert.orders.values())) == 3
         assert verified(inst, cert).verdict
+
+
+class TestSyllableOrders:
+    """Only factor targets need distinct image orders; a hyperbolic target's
+    syllables need only stay alive.  Z/5's classes {1, 4} and {2, 3} have
+    equal orders in every quotient that keeps them alive, so asking
+    distinct orders of syllables leaves no factor hom for these targets."""
+
+    @pytest.mark.parametrize(
+        "orders, targets",
+        [
+            ((5, 2), ["a b", "a2 b"]),
+            ((5, 7), ["a3 b", "b6 a4", "b a4"]),
+            ((4, 5), ["a b a2 b2 a3 b3 a2 b2", "a3 b2 a2 b4 a3 b3", "b3 a b a2 b4 a2", "b4 a3 b2 a"]),
+        ],
+        ids=["z5z2", "z5z7", "z4z5"],
+    )
+    def test_verified_with_distinct_orders(self, orders, targets):
+        factors = finite_factors(*map(cyclic_group, orders))
+        inst = Instance(factors, [normalize(power_syllables(t), factors) for t in targets])
+        cert = separate(inst)
+        assert len(set(cert.orders.values())) == len(targets)
+        assert verified(inst, cert).verdict
+        if len(targets) <= 3:
+            assert brute_force_search(instance_to_json(inst), max_degree=8).found
+
+
+class TestOneSearch:
+    """Shapes other than two factor elements on one side take the one
+    factor-hom search, whatever the mode."""
+
+    @pytest.mark.parametrize(
+        "factors, targets",
+        [
+            ("f23", [[A], [B], [A, B]]),
+            ("f23", [[], [A], [B]]),
+            ("zz3", [[(0, 1)], [B], [(0, 1), B]]),
+            ("zz3", [[], [(0, 2)], [B]]),
+        ],
+        ids=["ab-hyperbolic", "identity-finite", "infinite-hyperbolic", "identity-infinite"],
+    )
+    def test_theorem3_and_theorem12_agree(self, request, factors, targets):
+        factors = request.getfixturevalue(factors)
+        words = [normalize(t, factors) for t in targets]
+        certs = [
+            json.dumps(separate(Instance(factors, words, mode, RunConfig(seed=3))).to_json(),
+                       sort_keys=True)
+            for mode in ("theorem3", "theorem12")
+        ]
+        assert certs[0] == certs[1]
+
+
+KLEIN = validate_group([[i ^ j for j in range(4)] for i in range(4)])
+
+# (case, targets) of the sweep below where the oracle finds a witness and
+# the engine raises NoFactorHom.  Two of the targets are distinct Klein
+# involutions, and no factor target lies on the other side: only a quotient
+# that kills one involution parts their orders, while the factor-hom search
+# keeps every factor target alive.
+KNOWN_DIVERGENCES = {
+    "klein*z3": [(38, [[(1, 2), (0, 3)], [(1, 1), (0, 3), (1, 2)], [(0, 2)]])],
+}
+
+
+class TestOracleSweep:
+    """Fixed-seed 1-3 target sets of at most 4 syllables: whenever the
+    oracle finds a witness at degree <= 8, the engine gives a verified
+    certificate with pairwise distinct orders."""
+
+    PAIRS = {
+        "z3*z4": (cyclic_group(3), cyclic_group(4)),
+        "klein*z3": (KLEIN, cyclic_group(3)),
+        "z4*z5": (cyclic_group(4), cyclic_group(5)),
+        "z5*z7": (cyclic_group(5), cyclic_group(7)),
+    }
+    SETS = 40
+
+    @staticmethod
+    def draw_word(factors, rng):
+        f = rng.randrange(2)
+        raw = []
+        for _ in range(rng.randrange(1, 5)):
+            raw.append((f, rng.randrange(1, factors.groups()[f].n)))
+            f = 1 - f
+        return normalize(raw, factors)
+
+    @pytest.mark.parametrize("pair", sorted(PAIRS))
+    def test_engine_certifies_when_oracle_finds(self, pair):
+        factors = finite_factors(*self.PAIRS[pair])
+        rng = random.Random(f"oracle sweep {pair}")
+        divergences = []
+        for case in range(self.SETS):
+            inst = Instance(factors, [self.draw_word(factors, rng) for _ in range(rng.randrange(1, 4))])
+            try:
+                cert = separate(inst)
+            except ConjugatePair:
+                continue  # equal orders in every action: no witness to miss
+            except (HypothesisViolation, BudgetExceeded):
+                if brute_force_search(instance_to_json(inst), max_degree=8).found:
+                    divergences.append((case, [list(w.syllables) for w in inst.targets]))
+                continue
+            assert len(set(cert.orders.values())) == len(inst.targets), case
+            assert verified(inst, cert).verdict, case
+        assert divergences == KNOWN_DIVERGENCES.get(pair, [])
 
 
 class TestRepairAcceptance:
