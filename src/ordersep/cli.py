@@ -46,6 +46,8 @@ from .pipeline import (
 )
 from .verify import brute_force_search, verify_certificate
 
+DOT_VERTEX_CAP = 5_000  # larger graphs get a one-line DOT comment instead
+
 
 def _dump(data: dict) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n"
@@ -60,6 +62,13 @@ def _load_json(path: str) -> dict:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _required(data: dict, key: str):
+    """``data[key]`` of an argument file, or a parse error naming the key."""
+    if not isinstance(data, dict) or key not in data:
+        raise ParseError(f"argument file lacks the key {key!r}")
+    return data[key]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,12 +103,11 @@ def _build_parser() -> _Parser:
 
     orc = sub.add_parser("oracle", help="brute-force witness search")
     orc.add_argument("instance")
-    orc.add_argument("--max-degree", type=int, default=None)
+    orc.add_argument("--max-degree", type=int, default=8)
 
     gr = sub.add_parser("graph", help="graph utilities")
     gr.add_argument("action", choices=["surgery", "product", "dot"])
     gr.add_argument("file")
-    gr.add_argument("--dot", metavar="DIR", default=None)
     return parser
 
 
@@ -116,18 +124,17 @@ def _apply_overrides(inst: Instance, args) -> Instance:
     return Instance(inst.factors, inst.targets, mode, config)
 
 
-def _emit_dots(components, directory: str, cap: int) -> None:
+def _dot_text(graph) -> str:
+    if graph.vcount > DOT_VERTEX_CAP:
+        return f"// graph with {graph.vcount} vertices exceeds the DOT cap of {DOT_VERTEX_CAP}\n"
+    return graph_to_dot(graph)
+
+
+def _emit_dots(components, directory: str) -> None:
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
     for n, comp in enumerate(components):
-        path = out_dir / f"component_{n}.dot"
-        graph = comp.graph
-        if graph.vcount > cap:
-            path.write_text(
-                f"// graph with {graph.vcount} vertices exceeds the DOT cap of {cap}\n"
-            )
-        else:
-            path.write_text(graph_to_dot(graph))
+        (out_dir / f"component_{n}.dot").write_text(_dot_text(comp.graph))
 
 
 def _separation_json(res: SeparationResult) -> dict:
@@ -148,7 +155,7 @@ def _cmd_separate(args) -> int:
     if not report.verdict:
         raise PostconditionFailed({"failures": report.failures})
     if args.dot:
-        _emit_dots(cert.components, args.dot, inst.config.dot_vertex_cap)
+        _emit_dots(cert.components, args.dot)
     Path(args.out).write_text(_dump(data))
     orders = " ".join(f"{k}:{v}" for k, v in sorted(cert.orders.items()))
     print(f"verified certificate written to {args.out} (orders {orders})")
@@ -156,7 +163,7 @@ def _cmd_separate(args) -> int:
 
 
 def _parse_lemma_common(data: dict):
-    factors = parse_factors(data["factors"])
+    factors = parse_factors(_required(data, "factors"))
     config = RunConfig.from_json(data.get("config", {}))
     seed = json_int(data.get("seed", config.seed), "seed")
     return factors, config, seed
@@ -166,24 +173,24 @@ def _cmd_lemma(args, name: str) -> int:
     data = _load_json(args.args)
     factors, config, seed = _parse_lemma_common(data)
     if name == "lemma1":
-        targets = [parse_word(w, factors) for w in data["targets"]]
-        comp = lemma1_boost(
-            targets, json_int(data["p"], "p"), json_int(data["n"], "n"), factors,
-            seed=seed, config=config,
-        )
+        targets = [parse_word(w, factors) for w in _required(data, "targets")]
+        p, n = (json_int(_required(data, key), key) for key in ("p", "n"))
+        comp = lemma1_boost(targets, p, n, factors, seed=seed, config=config)
         res = SeparationResult(
             [comp], {i: word_order(comp.graph, w) for i, w in enumerate(targets)}
         )
     elif name == "lemma2":
-        targets = [parse_word(w, factors) for w in data["targets"]]
-        res = lemma2_declose(targets, json_int(data["p"], "p"), factors, seed=seed, config=config)
+        targets = [parse_word(w, factors) for w in _required(data, "targets")]
+        res = lemma2_declose(
+            targets, json_int(_required(data, "p"), "p"), factors, seed=seed, config=config
+        )
     elif name == "lemma3":
-        targets = [parse_word(w, factors) for w in data["targets"]]
+        targets = [parse_word(w, factors) for w in _required(data, "targets")]
         pi = {json_int(p, "pi entry") for p in data.get("pi", [])}
         res = lemma3_separate(targets, pi, factors, seed=seed, config=config)
     else:
-        word = parse_word(data["word"], factors)
-        exponents = [json_int(k, "exponent") for k in data["exponents"]]
+        word = parse_word(_required(data, "word"), factors)
+        exponents = [json_int(k, "exponent") for k in _required(data, "exponents")]
         res = lemma4_power_separate(word, exponents, factors, seed=seed, config=config)
     text = _dump(_separation_json(res))
     if args.out:
@@ -204,9 +211,8 @@ def _cmd_verify(args) -> int:
 
 def _cmd_oracle(args) -> int:
     instance_data = _load_json(args.instance)
-    inst = parse_instance(instance_data)
-    degree = args.max_degree if args.max_degree is not None else inst.config.oracle_degree
-    result = brute_force_search(instance_data, max_degree=degree)
+    parse_instance(instance_data)  # reject malformed instances with exit 5
+    result = brute_force_search(instance_data, max_degree=args.max_degree)
     sys.stdout.write(_dump(result.to_json()))
     return 0
 
@@ -214,23 +220,18 @@ def _cmd_oracle(args) -> int:
 def _cmd_graph(args) -> int:
     data = _load_json(args.file)
     if args.action == "dot":
-        graph = graph_from_json(data)
-        cap = RunConfig().dot_vertex_cap
-        if graph.vcount > cap:
-            sys.stdout.write(f"// graph with {graph.vcount} vertices exceeds the DOT cap of {cap}\n")
-        else:
-            sys.stdout.write(graph_to_dot(graph))
+        sys.stdout.write(_dot_text(graph_from_json(data)))
         return 0
     if args.action == "surgery":
-        graph = graph_from_json(data["graph"])
+        graph = graph_from_json(_required(data, "graph"))
         marks = [
             SurgeryMark(json_int(v, "mark vertex"), json_int(f, "mark factor"))
-            for v, f in data["marks"]
+            for v, f in _required(data, "marks")
         ]
-        out = gamma_surgery(graph, json_int(data["t"], "t"), marks)
+        out = gamma_surgery(graph, json_int(_required(data, "t"), "t"), marks)
         sys.stdout.write(_dump(graph_to_json(out)))
         return 0
-    graphs = [graph_from_json(g) for g in data["graphs"]]
+    graphs = [graph_from_json(g) for g in _required(data, "graphs")]
     if len(graphs) != 2:
         raise ParseError("product expects exactly two graphs")
     base = [json_int(v, "base vertex") for v in data.get("base", (0, 0))]

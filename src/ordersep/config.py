@@ -1,4 +1,12 @@
-"""Run budgets and determinism knobs shared across the engine."""
+"""Run settings that a caller sets.
+
+``RunConfig`` holds only the values some caller chooses per run: ``seed``
+(``--seed`` or the instance config), ``max_vertices`` (``--max-vertices``)
+and ``lemma1_attempts`` (an instance config, to make a Lemma 1 search give
+up early).  Every other budget has one value in use, so it is a named
+constant next to its one user, and an instance or lemma config that names
+it is rejected.
+"""
 
 from __future__ import annotations
 
@@ -12,31 +20,10 @@ from .errors import ParseError
 class RunConfig:
     seed: int = 0
     max_vertices: int = 10 ** 6
-    max_iterations: int = 64
-    oracle_degree: int = 8
-    modulus_bound: int = 10 ** 6
     lemma1_attempts: int = 10_000
-    lemma1_grow_every: int = 1_000
-    lemma2_retries: int = 4
-    lemma2_triple_rounds: int = 12
-    lemma2_scan_rounds: int = 64
-    lemma3_retries: int = 3
-    dot_vertex_cap: int = 5_000
 
     def __post_init__(self):
-        for name in (
-            "max_vertices",
-            "max_iterations",
-            "oracle_degree",
-            "modulus_bound",
-            "lemma1_attempts",
-            "lemma1_grow_every",
-            "lemma2_retries",
-            "lemma2_triple_rounds",
-            "lemma2_scan_rounds",
-            "lemma3_retries",
-            "dot_vertex_cap",
-        ):
+        for name in ("max_vertices", "lemma1_attempts"):
             if getattr(self, name) <= 0:
                 raise ParseError(f"budget {name} must be positive")
 

@@ -17,11 +17,11 @@ preserves both graph properties and multiplies the vertex count by t.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
+from .config import json_int
 from .errors import (
     BudgetExceeded,
     ConflictingMarks,
@@ -52,8 +52,6 @@ Rows = tuple[tuple[int, ...], ...]  # acts[f]: one row per factor element
 class CoverGraph:
     factors: tuple[FiniteGroup, FiniteGroup]
     acts: tuple[Rows, Rows]
-    provenance: str = "base"
-    basepoint: int = 0
     _orbit_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -148,7 +146,7 @@ def cayley_base(a: FiniteGroup, b: FiniteGroup, max_vertices: int = DEFAULT_MAX_
     acts1 = tuple(
         tuple(x * nb + b.table[y][c] for x in range(na) for y in range(nb)) for c in range(nb)
     )
-    return _checked(CoverGraph((a, b), (acts0, acts1), provenance="base"))
+    return _checked(CoverGraph((a, b), (acts0, acts1)))
 
 
 def word_perm_array(g: CoverGraph, w: NormalForm) -> tuple[int, ...]:
@@ -157,10 +155,6 @@ def word_perm_array(g: CoverGraph, w: NormalForm) -> tuple[int, ...]:
     for f, v in w.syllables:
         p = tuple(map(g.acts[f][v].__getitem__, p))
     return p
-
-
-def word_permutation(g: CoverGraph, w: NormalForm) -> Permutation:
-    return Permutation(g.vcount, word_perm_array(g, w))
 
 
 def perm_array_order(p: Sequence[int]) -> int:
@@ -242,25 +236,39 @@ def x_cycles(g: CoverGraph, x: NormalForm) -> list[XCycle]:
     return out
 
 
+def close_pairs(g: CoverGraph, x: NormalForm) -> Iterator[tuple[list[int], int, int]]:
+    """Yield (walk, i, j) for the first close pair of each close-edged x-cycle.
+
+    ``walk`` is the cycle's walk from :func:`cycle_walks`; positions i < j
+    carry two distinct edges in the same factor component, and j is the
+    first position whose edge closes such a pair.
+    """
+    _require_hyperbolic(x)
+    orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
+    syl = x.syllables
+    n = len(syl)
+    for _orbit, walk in cycle_walks(g, x):
+        first: dict[tuple[int, int], int] = {}  # component key -> first position
+        for pos, start in enumerate(walk):
+            f, val = syl[pos % n]
+            key = (f, orbit_labels[f][start])
+            prev = first.setdefault(key, pos)
+            if prev != pos and (walk[prev], syl[prev % n]) != (start, (f, val)):
+                yield walk, prev, pos
+                break
+
+
 def close_edge_scan(g: CoverGraph, x: NormalForm) -> tuple | None:
     """First close-edge witness over all x-cycles, or None.
 
     Returns (base, edge1, edge2) with the two distinct offending edges.
     """
-    _require_hyperbolic(x)
-    orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
+    pair = next(close_pairs(g, x), None)
+    if pair is None:
+        return None
+    walk, i, j = pair
     syl = x.syllables
-    for orbit, walk in cycle_walks(g, x):
-        keys: dict[tuple[int, int], tuple[int, int, int]] = {}
-        for start, (f, val) in zip(walk, syl * len(orbit)):
-            edge = (start, f, val)
-            key = (f, orbit_labels[f][start])
-            prev = keys.get(key)
-            if prev is None:
-                keys[key] = edge
-            elif prev != edge:
-                return (orbit[0], prev, edge)
-    return None
+    return (walk[0], (walk[i], *syl[i % len(syl)]), (walk[j], *syl[j % len(syl)]))
 
 
 def gamma_surgery(
@@ -307,13 +315,7 @@ def gamma_surgery(
                     row[layer * v_old + v] = (layer + s) % t * v_old + m[v]
             rows.append(tuple(row))
         new_acts.append(tuple(rows))
-    return _checked(
-        CoverGraph(
-            g.factors,
-            (new_acts[0], new_acts[1]),
-            provenance=f"surgery(t={t}, marks={[(m.vertex, m.factor) for m in marks]}) of [{g.provenance}]",
-        )
-    )
+    return _checked(CoverGraph(g.factors, (new_acts[0], new_acts[1])))
 
 
 def synchronized_product(
@@ -335,13 +337,7 @@ def synchronized_product(
             tuple(tuple(x * v2 + y for x in r1 for y in r2) for r1, r2 in zip(g1.acts[f], g2.acts[f]))
             for f in (0, 1)
         )
-        g = CoverGraph(
-            g1.factors,
-            (new_acts[0], new_acts[1]),
-            provenance=f"product[{g1.provenance} x {g2.provenance}]",
-            basepoint=base[0] * v2 + base[1],
-        )
-        return _checked(g)
+        return _checked(CoverGraph(g1.factors, (new_acts[0], new_acts[1])))
 
     # component of the base pair under the diagonal action
     moves = [(g1.acts[f][c], g2.acts[f][c]) for f in (0, 1) for c in range(1, g1.factors[f].n)]
@@ -364,12 +360,7 @@ def synchronized_product(
         for r1, r2 in zip(g1.acts[f][1:], g2.acts[f][1:]):
             rows.append(tuple(ids[(r1[p1], r2[p2])] for p1, p2 in order))
         new_acts.append(tuple(rows))
-    g = CoverGraph(
-        g1.factors,
-        (new_acts[0], new_acts[1]),
-        provenance=f"product-component[{g1.provenance} x {g2.provenance}]",
-    )
-    return _checked(g)
+    return _checked(CoverGraph(g1.factors, (new_acts[0], new_acts[1])))
 
 
 @functools.lru_cache(maxsize=64)
@@ -445,13 +436,7 @@ def induced_graph(
                 row.extend([offset + point for point in psihat(letters)])
             rows.append(tuple(row))
         new_acts.append(tuple(rows))
-    return _checked(
-        CoverGraph(
-            (a, b),
-            (new_acts[0], new_acts[1]),
-            provenance=f"induced(y={y_count})",
-        )
-    )
+    return _checked(CoverGraph((a, b), (new_acts[0], new_acts[1])))
 
 
 def graph_to_json(g: CoverGraph) -> dict:
@@ -467,7 +452,7 @@ def graph_to_json(g: CoverGraph) -> dict:
 
 def graph_from_json(data: dict) -> CoverGraph:
     try:
-        vcount = int(data["vcount"])
+        vcount = json_int(data["vcount"], "vcount")
         groups = tuple(validate_group(tbl) for tbl in data["factors"])
         acts = []
         for f in (0, 1):
@@ -478,9 +463,11 @@ def graph_from_json(data: dict) -> CoverGraph:
             for v, row in enumerate(rows):
                 if len(row) != n - 1:
                     raise ParseError(f"action[{f}][{v}] has wrong width")
+                for c, x in enumerate(row):
+                    json_int(x, f"action[{f}][{v}][{c}]")
             acts.append(
                 (tuple(range(vcount)),)
-                + tuple(tuple(int(row[c - 1]) for row in rows) for c in range(1, n))
+                + tuple(tuple(row[c - 1] for row in rows) for c in range(1, n))
             )
         g = CoverGraph((groups[0], groups[1]), (acts[0], acts[1]))
     except ParseError:
@@ -504,11 +491,3 @@ def graph_to_dot(g: CoverGraph) -> str:
                 lines.append(f'  n{v} -> n{arr[v]} [label="f{f}:{c}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def load_graph_json(text: str) -> CoverGraph:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad JSON: {exc}") from exc
-    return graph_from_json(data)

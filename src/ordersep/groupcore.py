@@ -167,7 +167,7 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
     raise NotAGroup("no identity element")
 
 
-def validate_group(table: Sequence[Sequence[int]], *, rng: random.Random | None = None) -> FiniteGroup:
+def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table and derive inverses.
 
     The identity is relabelled to index 0 if it sits elsewhere.  Associativity
@@ -180,7 +180,7 @@ def validate_group(table: Sequence[Sequence[int]], *, rng: random.Random | None 
         if len(row) != n:
             raise NotAGroup(f"row {i} has wrong length")
         for v in row:
-            if not isinstance(v, int) or not (0 <= v < n):
+            if type(v) is not int or not (0 <= v < n):  # bool is a subclass of int
                 raise NotAGroup(f"entry out of range in row {i}")
 
     e = _find_identity(table)
@@ -218,7 +218,7 @@ def validate_group(table: Sequence[Sequence[int]], *, rng: random.Random | None 
                     c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
                     raise NotAGroup(f"associativity fails at ({a},{b},{c})")
     else:
-        rng = rng or random.Random(0)
+        rng = random.Random(0)
         for _ in range(ASSOC_RANDOM_SAMPLES):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             if table[table[a][b]][c] != table[a][table[b][c]]:

@@ -29,6 +29,7 @@ from .covergraph import (
     CoverGraph,
     SurgeryMark,
     close_edge_scan,
+    close_pairs,
     cycle_walks,
     gamma_surgery,
     graph_to_json,
@@ -150,6 +151,9 @@ def _require_cartesian_targets(targets, factors: Factors) -> None:
 # prime-power boosting
 # ---------------------------------------------------------------------------
 
+LEMMA1_GROW_EVERY = 1_000  # failed draws before the fiber grows by a factor p
+
+
 def _exponent_sums_vanish(letters: list[tuple[int, int]], p: int) -> bool:
     """Whether every basis letter's exponent sum in ``letters`` is 0 mod p,
     i.e. the word is trivial in every abelian quotient of exponent p."""
@@ -166,7 +170,7 @@ def lemma1_boost(
     factors: Factors,
     *,
     seed: int = 0,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
     fiber_exponent: int | None = None,
 ) -> Component:
     """A component where every target's order is a p-power above p^n_power.
@@ -177,7 +181,6 @@ def lemma1_boost(
     assignment is materialized as an induced graph and re-verified there.
     ``fiber_exponent`` forces a larger starting fiber.
     """
-    config = config or RunConfig()
     if not is_prime(p):
         raise HypothesisViolation(f"{p} is not prime")
     if n_power < 0:
@@ -200,7 +203,7 @@ def lemma1_boost(
         m = 2
     attempts = 0
     while attempts < config.lemma1_attempts:
-        if attempts and attempts % config.lemma1_grow_every == 0:
+        if attempts and attempts % LEMMA1_GROW_EVERY == 0:
             if p ** (m + 1) * ga.n * gb.n <= config.max_vertices:
                 m += 1
         attempts += 1
@@ -371,27 +374,6 @@ class _Restart(Exception):
     """Internal: abandon the current construction attempt, reseed."""
 
 
-def _close_pairs_by_cycle(g: CoverGraph, root: NormalForm):
-    """Yield (walk, i, j) for the first close pair of each offending cycle."""
-    syl = root.syllables
-    n = len(syl)
-    orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
-    for _orbit, walk in cycle_walks(g, root):
-        keys: dict[tuple[int, int], int] = {}
-        edges: dict[int, tuple[int, int, int]] = {}
-        for pos, start in enumerate(walk):
-            f, val = syl[pos % n]
-            edge = (start, f, val)
-            key = (f, orbit_labels[f][start])
-            prev_pos = keys.get(key)
-            if prev_pos is None:
-                keys[key] = pos
-                edges[pos] = edge
-            elif edges[prev_pos] != edge:
-                yield walk, prev_pos, pos
-                break
-
-
 def _edge_deltas(walk, lo, hi, syl, deltas: dict) -> None:
     """Accumulate per-(vertex, factor) net out-minus-in counts over the walk
     edge positions lo..hi (inclusive, cyclically)."""
@@ -463,8 +445,6 @@ def _scan_repair_round(
     g: CoverGraph,
     target_roots,
     p: int,
-    factors: Factors,
-    config: RunConfig,
     round_no: int,
     cap: int,
 ) -> CoverGraph | None:
@@ -479,7 +459,7 @@ def _scan_repair_round(
     offenders: list[tuple[NormalForm, list[int], int, int]] = []
     for root in target_roots:
         offenders.extend(
-            (root, walk, i, j) for walk, i, j in _close_pairs_by_cycle(g, root)
+            (root, walk, i, j) for walk, i, j in close_pairs(g, root)
         )
     if not offenders:
         return None
@@ -522,8 +502,13 @@ def _scan_repair_round(
     return gamma_surgery(g, p, marks, max_vertices=cap)
 
 
+LEMMA2_RETRIES = 4  # fresh bases before Lemma 2 reports its last witness
+LEMMA2_SCAN_ROUNDS = 64  # scan-driven surgeries per repair phase
+LEMMA2_TRIPLE_ROUNDS = 12  # surgeries per connector before a restart
+
+
 def _offending_cycles(g: CoverGraph, target_roots) -> int:
-    return sum(len(list(_close_pairs_by_cycle(g, root))) for root in target_roots)
+    return sum(len(list(close_pairs(g, root))) for root in target_roots)
 
 
 def lemma2_declose(
@@ -532,7 +517,7 @@ def lemma2_declose(
     factors: Factors,
     *,
     seed: int = 0,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
 ) -> SeparationResult:
     """A component where every target is a nonunit p-element and all of its
     cycles are free of close edges.
@@ -544,7 +529,6 @@ def lemma2_declose(
     surgery layers); finish with an exhaustive scan and scan-driven repair
     rounds.  Fails over to fresh seeds, then reports the last witness.
     """
-    config = config or RunConfig()
     if not is_prime(p):
         raise HypothesisViolation(f"{p} is not prime")
     _require_cartesian_targets(targets, factors)
@@ -554,7 +538,7 @@ def lemma2_declose(
     last_witness: object = None
     last_budget: BudgetExceeded | None = None
     target_roots = [root for root, _m in roots]
-    for attempt in range(config.lemma2_retries):
+    for attempt in range(LEMMA2_RETRIES):
         try:
             # draw a batch of candidate bases and keep the one with the
             # fewest close-edged cycles: base quality dominates the number of
@@ -578,8 +562,8 @@ def lemma2_declose(
             surgeries = 0
             # scan-driven elimination first: each round kills every currently
             # offending cycle that accepts a compatible mark
-            for round_no in range(config.lemma2_scan_rounds):
-                repaired = _scan_repair_round(g, target_roots, p, factors, config, round_no, cap)
+            for round_no in range(LEMMA2_SCAN_ROUNDS):
+                repaired = _scan_repair_round(g, target_roots, p, round_no, cap)
                 if repaired is None:
                     break
                 g = repaired
@@ -593,7 +577,7 @@ def lemma2_declose(
                 for z, mu, nu, chi in connecting_words(root, factors):
                     rounds = 0
                     while (j := _cyclic_membership(g, chi, root)) is not None:
-                        if rounds >= config.lemma2_triple_rounds:
+                        if rounds >= LEMMA2_TRIPLE_ROUNDS:
                             raise _Restart(f"connector ({z.syllables},{mu},{nu}) not excluded")
                         g = _declose_surgery(
                             g, chi, root, rounds % g.vcount, p, factors, cap,
@@ -602,8 +586,8 @@ def lemma2_declose(
                         surgeries += 1
                         rounds += 1
             # a connector surgery may in principle re-arrange cycles; rescan
-            for round_no in range(config.lemma2_scan_rounds):
-                repaired = _scan_repair_round(g, target_roots, p, factors, config, round_no, cap)
+            for round_no in range(LEMMA2_SCAN_ROUNDS):
+                repaired = _scan_repair_round(g, target_roots, p, round_no, cap)
                 if repaired is None:
                     break
                 g = repaired
@@ -679,6 +663,10 @@ class _Path:
     labels: tuple
 
 
+MAX_ITERATIONS = 64  # equalization surgeries before the targets must split
+LEMMA3_RETRIES = 3  # declose-and-equalize attempts per Lemma 3 level
+
+
 def _equalize_until_split(
     g: CoverGraph,
     targets: list[NormalForm],
@@ -695,7 +683,7 @@ def _equalize_until_split(
     n_syl = len(syl)
     path: _Path | None = None
 
-    for k in range(config.max_iterations):
+    for k in range(MAX_ITERATIONS):
         lengths = [_max_cycles(g, u)[0] for u in targets]
         if len(set(lengths)) > 1:
             transcript.append({"stage": "split", "iteration": k, "lengths": lengths})
@@ -744,7 +732,7 @@ def _equalize_until_split(
         new_lengths = [_max_cycles(g, u)[0] for u in targets]
         if len(set(new_lengths)) == 1:
             _assert_path_in_maximal_cycles(g, targets, path, factors)
-    raise IterationBudgetExceeded(config.max_iterations)
+    raise IterationBudgetExceeded(MAX_ITERATIONS)
 
 
 def _assert_path_in_maximal_cycles(
@@ -774,7 +762,7 @@ def lemma3_separate(
     factors: Factors,
     *,
     seed: int = 0,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
     _repair: bool = True,
 ) -> SeparationResult:
     """Pairwise distinct orders, all coprime to ``pi``, for Cartesian words
@@ -785,7 +773,6 @@ def lemma3_separate(
     the rest, then recurse on both sides with growing prime exclusions.  The
     final orders are recomputed across all components and checked.
     """
-    config = config or RunConfig()
     pi = frozenset(pi)
     _require_cartesian_targets(targets, factors)
     roots = [_root_data(u, factors) for u in targets]
@@ -806,7 +793,8 @@ def lemma3_separate(
         return SeparationResult([comp], orders, transcript)
 
     result: SeparationResult | None = None
-    for attempt in range(config.lemma3_retries):
+    last_reason = ""
+    for attempt in range(LEMMA3_RETRIES):
         l2 = lemma2_declose(
             targets, p, factors, seed=sub_seed(seed, "l3-declose", attempt), config=config
         )
@@ -815,7 +803,8 @@ def lemma3_separate(
         try:
             g = _equalize_until_split(g, targets, p, factors, config, transcript)
         except (BudgetExceeded, ConflictingMarks, PostconditionFailed) as exc:
-            transcript.append({"stage": "equalize-retry", "attempt": attempt, "why": str(exc)})
+            last_reason = str(exc)
+            transcript.append({"stage": "equalize-retry", "attempt": attempt, "why": last_reason})
             continue
 
         orders1 = [word_order(g, u) for u in targets]
@@ -852,7 +841,9 @@ def lemma3_separate(
         result = SeparationResult(components, orders, transcript)
         break
     if result is None:
-        raise IterationBudgetExceeded(config.max_iterations)
+        raise BudgetExceeded(
+            f"equalization failed in all {LEMMA3_RETRIES} attempts; last: {last_reason}"
+        )
 
     ok = _verify_lemma3(result, targets, pi)
     if not ok and _repair:
@@ -892,12 +883,11 @@ def lemma4_power_separate(
     factors: Factors,
     *,
     seed: int = 0,
-    config: RunConfig | None = None,
+    config: RunConfig = RunConfig(),
 ) -> SeparationResult:
     """Distinct orders for w^k over exponents with pairwise distinct absolute
     values: one boost per prime dividing some exponent, pushed above the
     largest valuation so the p-parts of the power orders differ."""
-    config = config or RunConfig()
     _require_cartesian_targets([w], factors)
     if not is_cyclically_reduced(w):
         raise NotCyclicallyReduced(w.syllables)

@@ -53,6 +53,7 @@ from .words import (
     primitive_root,
 )
 
+MODULUS_BOUND = 10 ** 6  # largest modulus tried for an infinite cyclic factor
 SMALL_FIBERS = range(2, 9)  # fiber sizes of the small-action repair candidate
 SMALL_DRAWS = 16  # random fiber assignments per size
 
@@ -361,7 +362,6 @@ def reduce_factors(
         _lambda_sets(inst.factors.spec(0), 0, reduced, alpha, gamma),
         _lambda_sets(inst.factors.spec(1), 1, reduced, beta, gamma),
     ]
-    bound = inst.config.modulus_bound
 
     def try_pair(h0: FactorHom, h1: FactorHom):
         rfactors = finite_factors(h0.target, h1.target)
@@ -392,7 +392,7 @@ def reduce_factors(
 
     return _search_hom_pair(
         inst.factors.specs,
-        bound,
+        MODULUS_BOUND,
         [lambda h, f=f: _factor_feasible(h, *lams[f]) for f in (0, 1)],
         try_pair,
     )
@@ -713,7 +713,6 @@ def _two_on_one_side(
     ``reduce_factors`` never does.
     """
     factors = inst.factors
-    bound = inst.config.modulus_bound
     transcript: list[dict] = [{"stage": "mode", "value": "theorem3"}]
     s = 0 if len(sides[0]) == 2 else 1
     other = 1 - s
@@ -731,8 +730,8 @@ def _two_on_one_side(
 
     # each factor's candidates are built once and re-read by the loops
     # below (a modulus stream stays lazy)
-    homs_s = _Replay(_candidate_stream(factors.spec(s), bound))
-    homs_other = _Replay(_candidate_stream(factors.spec(other), bound))
+    homs_s = _Replay(_candidate_stream(factors.spec(s), MODULUS_BOUND))
+    homs_other = _Replay(_candidate_stream(factors.spec(other), MODULUS_BOUND))
     for hom in homs_s:
         o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
         if o1 == 1 or o2 == 1 or o1 == o2:
@@ -751,7 +750,7 @@ def _two_on_one_side(
                 return certificate(hom, other_hom, "two-on-one-side-quotient")
     if factors.spec(s).is_finite:
         raise NoFactorHom("no quotient separates the two same-side elements")
-    raise ModulusBudgetExceeded(f"no modulus found up to {bound}")
+    raise ModulusBudgetExceeded(f"no modulus found up to {MODULUS_BOUND}")
 
 
 def separate(inst: Instance) -> Certificate:

@@ -155,8 +155,14 @@ class TestMalformedCertificate:
             (lambda c: c["factor_homs"][0].update(map=[0, "x"]), "factor hom 0: map entry out of range"),
             (lambda c: c["components"][0].pop("graph"), "component 0: missing graph"),
             (lambda c: c["factor_homs"][1].pop("kind"), "factor hom 1: unknown hom kind None"),
+            (lambda c: c["orders"].update({"0": 2.9}), "target 0: claimed order 2.9 is not an integer"),
+            (lambda c: c["orders"].update({"0": "2"}), "target 0: claimed order '2' is not an integer"),
+            (lambda c: c["orders"].update({"0": 2.0}), "target 0: claimed order 2.0 is not an integer"),
         ],
-        ids=["map-out-of-range", "map-not-int", "component-without-graph", "hom-without-kind"],
+        ids=[
+            "map-out-of-range", "map-not-int", "component-without-graph", "hom-without-kind",
+            "order-real", "order-string", "order-integral-real",
+        ],
     )
     def test_failing_report(self, tmp_path, capsys, tamper, message):
         inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
@@ -214,6 +220,33 @@ class TestIntegerInputs:
         inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE, config=config))
         assert self.run_json(["separate", inst, "--out", str(tmp_path / "c.json")], capsys) == 5
 
+    # budgets with one value in use are module constants, not config keys
+    REMOVED_CONFIG = {
+        "max_iterations": 64,
+        "oracle_degree": 8,
+        "modulus_bound": 10 ** 6,
+        "lemma1_grow_every": 1_000,
+        "lemma2_retries": 4,
+        "lemma2_triple_rounds": 12,
+        "lemma2_scan_rounds": 64,
+        "lemma3_retries": 3,
+        "dot_vertex_cap": 5_000,
+    }
+
+    @pytest.mark.parametrize("key", sorted(REMOVED_CONFIG))
+    @pytest.mark.parametrize("command", ["separate", "lemma4"])
+    def test_removed_config_key(self, tmp_path, capsys, command, key):
+        config = {key: self.REMOVED_CONFIG[key]}
+        if command == "separate":
+            path = write(tmp_path, "inst.json", instance_z2z3(TRIPLE, config=config))
+            argv = ["separate", path, "--out", str(tmp_path / "c.json")]
+        else:
+            args = {"factors": instance_z2z3([])["factors"], **self.LEMMA_ARGS["lemma4"], "config": config}
+            argv = ["lemma4", write(tmp_path, "args.json", args)]
+        capsys.readouterr()
+        assert run_cli(argv) == 5
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
+
     LEMMA_ARGS = {
         "lemma1": {"targets": [[[0, 1], [1, 1], [0, 1], [1, 2]]], "p": 2, "n": 2, "seed": 1},
         "lemma3": {"targets": [[[0, 1], [1, 1], [0, 1], [1, 2]], [[0, 1], [1, 1]] * 6], "pi": [3]},
@@ -254,8 +287,64 @@ class TestIntegerInputs:
         data = {**data, **({"graph": g} if action == "surgery" else {"graphs": [g, g]})}
         assert self.run_json(["graph", action, write(tmp_path, "g.json", data)], capsys) == 5
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [
+            lambda g: g.update(vcount="6"),
+            lambda g: g["action"][1][0].__setitem__(0, 1.0),
+            lambda g: g["action"][1][0].__setitem__(0, True),
+            lambda g: g["factors"][0][0].__setitem__(1, True),
+        ],
+        ids=["vcount-string", "action-real", "action-bool", "factor-table-bool"],
+    )
+    @pytest.mark.parametrize("action", ["dot", "surgery"])
+    def test_graph_json(self, tmp_path, capsys, action, tamper):
+        g = graph_to_json(cayley_base(cyclic_group(2), cyclic_group(3)))
+        assert g["action"][1][0][0] == 1 and g["factors"][0][0][1] == 1
+        tamper(g)
+        data = g if action == "dot" else {"graph": g, "t": 2, "marks": [[0, 0]]}
+        assert self.run_json(["graph", action, write(tmp_path, "g.json", data)], capsys) == 5
+
+
+class TestMissingKeys:
+    """A required key missing from a lemma or graph argument file is a parse
+    error (exit 5) that names the key."""
+
+    GRAPH = graph_to_json(cayley_base(cyclic_group(2), cyclic_group(3)))
+    FACTORS = instance_z2z3([])["factors"]
+    ARGS = {
+        "lemma1": {"factors": FACTORS, **TestIntegerInputs.LEMMA_ARGS["lemma1"]},
+        "lemma2": {"factors": FACTORS, "targets": [[[0, 1], [1, 1], [0, 1], [1, 2]]], "p": 2},
+        "lemma3": {"factors": FACTORS, **TestIntegerInputs.LEMMA_ARGS["lemma3"]},
+        "lemma4": {"factors": FACTORS, **TestIntegerInputs.LEMMA_ARGS["lemma4"]},
+        "surgery": {"graph": GRAPH, "t": 2, "marks": [[0, 0]]},
+        "product": {"graphs": [GRAPH, GRAPH]},
+    }
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [
+            ("lemma1", "factors"), ("lemma1", "targets"), ("lemma1", "p"), ("lemma1", "n"),
+            ("lemma2", "targets"), ("lemma2", "p"),
+            ("lemma3", "targets"),
+            ("lemma4", "word"), ("lemma4", "exponents"),
+            ("surgery", "graph"), ("surgery", "marks"), ("surgery", "t"),
+            ("product", "graphs"),
+        ],
+    )
+    def test_missing_key_exit_5(self, tmp_path, capsys, command, key):
+        args = {k: v for k, v in self.ARGS[command].items() if k != key}
+        argv = ["graph", command] if command in ("surgery", "product") else [command]
+        capsys.readouterr()
+        assert run_cli(["--json", *argv, write(tmp_path, "args.json", args)]) == 5
+        payload = json.loads(capsys.readouterr().err)
+        assert payload == {"error": "ParseError", "detail": f"argument file lacks the key {key!r}"}
+
 
 class TestOracleCommand:
+    def test_default_degree(self):
+        assert _build_parser().parse_args(["oracle", "inst.json"]).max_degree == 8
+
     def test_oracle_finds(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
         assert run_cli(["oracle", inst, "--max-degree", "6"]) == 0

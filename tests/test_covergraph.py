@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ordersep.cli import run_cli
 from ordersep.errors import BudgetExceeded, ConflictingMarks, FactorElement, ParseError
 from ordersep.groupcore import (
     Permutation,
@@ -20,17 +21,16 @@ from ordersep.covergraph import (
     SurgeryMark,
     cayley_base,
     close_edge_scan,
+    close_pairs,
     gamma_surgery,
     graph_from_json,
     graph_to_dot,
     graph_to_json,
     induced_graph,
-    load_graph_json,
     synchronized_product,
     validate_cover,
     word_order,
     word_perm_array,
-    word_permutation,
     x_cycles,
 )
 from ordersep.words import (
@@ -169,7 +169,7 @@ class TestValidateCover:
 class TestWordPermutation:
     def test_identity_word(self, z2, z3):
         g = cayley_base(z2, z3)
-        assert word_permutation(g, IDENTITY).is_identity()
+        assert word_perm_array(g, IDENTITY) == tuple(range(g.vcount))
 
     def test_factor_element_order_equals_factor_order(self, f23):
         rng = random.Random(2)
@@ -230,6 +230,9 @@ class TestXCycles:
             for u in (AB, ABAB2):
                 flags = any(c.close for c in x_cycles(g, u))
                 assert flags == (close_edge_scan(g, u) is not None)
+                # one close pair per close cycle, at that cycle's base
+                close = [c.base for c in x_cycles(g, u) if c.close]
+                assert [walk[0] for walk, _i, _j in close_pairs(g, u)] == close
 
 
 class TestGammaSurgery:
@@ -494,9 +497,11 @@ class TestGraphIO:
         assert dot.count("->") == 6 * (1 + 2)
         assert 'label="f0:1"' in dot
 
-    def test_truncated_file(self):
-        with pytest.raises(ParseError):
-            load_graph_json('{"vcount": 6, "factors": [[[0]]]')
+    def test_truncated_file(self, tmp_path, capsys):
+        path = tmp_path / "g.json"
+        path.write_text('{"vcount": 6, "factors": [[[0]]]')
+        assert run_cli(["graph", "dot", str(path)]) == 5
+        assert "error[ParseError]" in capsys.readouterr().err
 
     def test_invalid_graph_rejected(self, z2, z3):
         g = cayley_base(z2, z3)

@@ -10,8 +10,9 @@ imports ``verify``.  The third-party modules the package imports are
 exactly the dependencies ``pyproject.toml`` declares (none), and importing
 the CLI loads nothing outside the standard library and the package.  Every
 ``RunConfig`` field is read by some module besides ``config``, so no knob
-is a no-op.  The factor-hom search ``_search_hom_pair`` has one user,
-``reduce_factors``, so a second hom search cannot come back unnoticed.
+is a no-op, and it holds only the three values a caller sets.  The
+factor-hom search ``_search_hom_pair`` has one user, ``reduce_factors``,
+so a second hom search cannot come back unnoticed.
 """
 
 import ast
@@ -128,6 +129,11 @@ def test_every_config_field_is_read():
     }
     unread = sorted(set(RunConfig.__dataclass_fields__) - read)
     assert not unread, f"RunConfig fields no module reads: {unread}"
+
+
+def test_config_holds_only_caller_set_values():
+    # a budget with one value in use is a module constant next to its user
+    assert list(RunConfig.__dataclass_fields__) == ["seed", "max_vertices", "lemma1_attempts"]
 
 
 def test_one_factor_hom_search():

@@ -4,11 +4,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordersep.config import RunConfig
-from ordersep.covergraph import close_edge_scan, word_order, word_perm_array, x_cycles
-from ordersep.errors import HypothesisViolation, NotCyclicallyReduced, NotInCartesian, TrivialTarget
+from ordersep.covergraph import cayley_base, close_edge_scan, word_order, word_perm_array, x_cycles
+from ordersep import lemmas
+from ordersep.errors import (
+    BudgetExceeded,
+    HypothesisViolation,
+    NotCyclicallyReduced,
+    NotInCartesian,
+    PostconditionFailed,
+    TrivialTarget,
+)
 from ordersep.groupcore import element_order
 from ordersep.lemmas import (
     Component,
+    SeparationResult,
     connecting_words,
     factorization,
     fresh_prime,
@@ -267,6 +276,20 @@ class TestLemma3:
         targets = [ABAB2, power(AB, 6, f23)]
         res = lemma3_separate(targets, set(), f23, seed=4)
         assert res.orders[0] != res.orders[1]
+
+    def test_failed_equalization_names_attempts_and_reason(self, f23, monkeypatch):
+        # every attempt declosed at once, and every equalization fails
+        declosed = SeparationResult([Component(cayley_base(*f23.groups()), None)], {})
+
+        def fail(*_args):
+            raise PostconditionFailed("tracked path lost")
+
+        monkeypatch.setattr(lemmas, "lemma2_declose", lambda *_args, **_kwargs: declosed)
+        monkeypatch.setattr(lemmas, "_equalize_until_split", fail)
+        with pytest.raises(BudgetExceeded) as info:
+            lemma3_separate([ABAB2, power(AB, 6, f23)], {3}, f23, seed=1)
+        assert type(info.value) is BudgetExceeded and info.value.exit_code == 3
+        assert str(info.value) == "equalization failed in all 3 attempts; last: tracked path lost"
 
 
 class TestLemma4:

@@ -86,13 +86,13 @@ class TestVerifyCertificate:
         report = verify_certificate(instance_to_json(inst), data)
         assert not report.verdict
 
-    def test_matching_product_passes(self, f23):
-        # certificates from older builds carry the product of the components
+    def test_matching_product_fails(self, f23):
+        # no engine emits the product of the components; the verifier does
+        # not walk one, so a certificate that carries one fails
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
         data = with_product(inst)
         report = verify_certificate(instance_to_json(inst), data)
-        assert report.verdict
-        assert any("product" in c for c in report.checks)
+        assert report.failures == ["certificate carries a product graph, which is not checked"]
 
     def test_tampered_product_fails(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
@@ -262,6 +262,64 @@ class TestTamperedActions:
             elif row:
                 row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.integers(-1, graph["vcount"]))
         assert _graph_ok(graph, graph["factors"]) == reference_graph_error(graph, graph["factors"])
+
+
+def _zxz3_certificate():
+    # an infinite cyclic factor: the certificate carries a modulus hom
+    factors = Factors((FactorSpec("infinite_cyclic"), FactorSpec("finite", cyclic_group(3))))
+    inst = Instance(factors, [NormalForm(((0, 1),)), NormalForm((B,)), NormalForm(((0, 1), B))])
+    return instance_to_json(inst), make_cert(inst)
+
+
+MUTABLE_CERTIFICATES = ENGINE_CERTIFICATES + [_zxz3_certificate()]
+
+
+def _checked_fields(cert: dict) -> list[tuple[dict, str]]:
+    """(container, key) of every claimed order and checked hom and graph field."""
+    fields = [(cert["orders"], k) for k in sorted(cert["orders"])]
+    for hom in cert["factor_homs"]:
+        fields += [(hom, k) for k in ("map", "modulus", "target_table") if k in hom]
+    for comp in cert["components"]:
+        fields += [(comp["graph"], k) for k in ("vcount", "factors", "action")]
+    return fields
+
+
+class TestMutatedCertificates:
+    """A dropped key, a wrong type, an out-of-range value or a ragged row in
+    one checked field of an engine certificate gives a failing report."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single_mutation_fails(self, data):
+        inst, cert = data.draw(st.sampled_from(MUTABLE_CERTIFICATES))
+        assert verify_certificate(inst, cert).verdict
+        cert = copy.deepcopy(cert)
+        node, key = data.draw(st.sampled_from(_checked_fields(cert)))
+        kinds = ["drop", "type", "range"] + (["ragged"] if isinstance(node[key], list) else [])
+        kind = data.draw(st.sampled_from(kinds))
+        if kind == "drop":
+            del node[key]
+        elif kind == "ragged":
+            # down to one row: a list of ints
+            while isinstance(node[key][0], list):
+                node, key = node[key], data.draw(st.integers(0, len(node[key]) - 1))
+            row = node[key]
+            if data.draw(st.booleans()):
+                row.pop()
+            else:
+                row.append(row[0])
+        else:
+            # down to one int
+            while isinstance(node[key], list):
+                node, key = node[key], data.draw(st.integers(0, len(node[key]) - 1))
+            old = node[key]
+            assert type(old) is int
+            if kind == "type":
+                node[key] = data.draw(st.sampled_from([float(old), str(old), bool(old)]))
+            else:
+                node[key] = data.draw(st.sampled_from([-1 - old, old + 1000]))
+        report = verify_certificate(inst, cert)
+        assert not report.verdict and report.failures
 
 
 class TestOracle:
