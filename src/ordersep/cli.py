@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig, json_int
+from .config import RunConfig, json_int, json_list
 from .covergraph import (
     SurgeryMark,
     gamma_surgery,
@@ -169,28 +169,34 @@ def _parse_lemma_common(data: dict):
     return factors, config, seed
 
 
+def _targets(data: dict, factors) -> list:
+    return [parse_word(w, factors) for w in json_list(_required(data, "targets"), "targets")]
+
+
 def _cmd_lemma(args, name: str) -> int:
     data = _load_json(args.args)
     factors, config, seed = _parse_lemma_common(data)
     if name == "lemma1":
-        targets = [parse_word(w, factors) for w in _required(data, "targets")]
+        targets = _targets(data, factors)
         p, n = (json_int(_required(data, key), key) for key in ("p", "n"))
         comp = lemma1_boost(targets, p, n, factors, seed=seed, config=config)
         res = SeparationResult(
             [comp], {i: word_order(comp.graph, w) for i, w in enumerate(targets)}
         )
     elif name == "lemma2":
-        targets = [parse_word(w, factors) for w in _required(data, "targets")]
+        targets = _targets(data, factors)
         res = lemma2_declose(
             targets, json_int(_required(data, "p"), "p"), factors, seed=seed, config=config
         )
     elif name == "lemma3":
-        targets = [parse_word(w, factors) for w in _required(data, "targets")]
-        pi = {json_int(p, "pi entry") for p in data.get("pi", [])}
+        targets = _targets(data, factors)
+        pi = {json_int(p, "pi entry") for p in json_list(data.get("pi", []), "pi")}
         res = lemma3_separate(targets, pi, factors, seed=seed, config=config)
     else:
         word = parse_word(_required(data, "word"), factors)
-        exponents = [json_int(k, "exponent") for k in _required(data, "exponents")]
+        exponents = [
+            json_int(k, "exponent") for k in json_list(_required(data, "exponents"), "exponents")
+        ]
         res = lemma4_power_separate(word, exponents, factors, seed=seed, config=config)
     text = _dump(_separation_json(res))
     if args.out:
@@ -224,17 +230,15 @@ def _cmd_graph(args) -> int:
         return 0
     if args.action == "surgery":
         graph = graph_from_json(_required(data, "graph"))
+        pairs = [json_list(m, "mark", 2) for m in json_list(_required(data, "marks"), "marks")]
         marks = [
-            SurgeryMark(json_int(v, "mark vertex"), json_int(f, "mark factor"))
-            for v, f in _required(data, "marks")
+            SurgeryMark(json_int(v, "mark vertex"), json_int(f, "mark factor")) for v, f in pairs
         ]
         out = gamma_surgery(graph, json_int(_required(data, "t"), "t"), marks)
         sys.stdout.write(_dump(graph_to_json(out)))
         return 0
-    graphs = [graph_from_json(g) for g in _required(data, "graphs")]
-    if len(graphs) != 2:
-        raise ParseError("product expects exactly two graphs")
-    base = [json_int(v, "base vertex") for v in data.get("base", (0, 0))]
+    graphs = [graph_from_json(g) for g in json_list(_required(data, "graphs"), "graphs", 2)]
+    base = [json_int(v, "base vertex") for v in json_list(data.get("base", [0, 0]), "base", 2)]
     out = synchronized_product(graphs[0], graphs[1], base=(base[0], base[1]))
     sys.stdout.write(_dump(graph_to_json(out)))
     return 0

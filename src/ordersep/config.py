@@ -29,6 +29,8 @@ class RunConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> RunConfig:
+        if type(data) is not dict:
+            raise ParseError(f"config must be an object, got {data!r}")
         known = {f for f in cls.__dataclass_fields__}
         bad = set(data) - known
         if bad:
@@ -46,6 +48,15 @@ def json_int(value: object, what: str) -> int:
     outside the program is rejected, not truncated or converted."""
     if type(value) is not int:  # bool is a subclass of int
         raise ParseError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value: object, what: str, length: int | None = None) -> list:
+    """``value`` if it is a list (of ``length`` entries, when given); any
+    other shape from outside the program is a parse error."""
+    if type(value) is not list or (length is not None and len(value) != length):
+        shape = "a list" if length is None else f"a list of {length} entries"
+        raise ParseError(f"{what} must be {shape}, got {value!r}")
     return value
 
 

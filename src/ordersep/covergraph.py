@@ -12,6 +12,17 @@ The t-fold surgery construction takes marked vertices with a factor choice
 each; edges of the marked factor incident to a mark are rewired across the t
 layers (out-edges of a mark climb one layer, in-edges descend one), which
 preserves both graph properties and multiplies the vertex count by t.
+
+An induced action (:func:`induced_graph`) runs on (coset of the Cartesian
+subgroup K) x fiber, and K is normal of index |A||B|.  A word w permutes the
+cosets by its image in A x B, whose order m is w's minimal Cartesian power,
+and w^m returns each coset t to itself, acting on its fiber by psihat of the
+Schreier rewriting of t w^m t^-1 over K's basis (Reidemeister-Schreier:
+Magnus, Karrass and Solitar, *Combinatorial Group Theory*, 1966, ch. 2).
+So the order of w is m times the lcm of those return maps' orders, one
+coset per w-orbit of cosets.  The letters do not depend on psi:
+:func:`fiber_returns` computes them once per word, and :func:`fiber_order`
+scores a fiber assignment without building its graph.
 """
 
 from __future__ import annotations
@@ -44,7 +55,10 @@ from .words import (
 
 DEFAULT_MAX_VERTICES = 10 ** 6
 
-Move = tuple[int, tuple[tuple[int, int], ...]]  # (t', Cartesian-basis letters)
+Letters = tuple[tuple[int, int], ...]  # Cartesian-basis (index, +1/-1) letters
+Move = tuple[int, Letters]  # (t', letters)
+Returns = tuple[int, tuple[Letters, ...]]  # (m, return letters per coset orbit)
+Maps = Sequence[Sequence[int]]  # one fiber permutation per Cartesian-basis generator
 Rows = tuple[tuple[int, ...], ...]  # acts[f]: one row per factor element
 
 
@@ -76,16 +90,6 @@ class CoverReport:
     ok: bool
     reason: str | None = None
     witness: tuple | None = None
-
-
-@dataclass(frozen=True)
-class XCycle:
-    """One orbit of the x-action, walked as a closed path spelling x^k."""
-
-    base: int
-    k: int
-    steps: tuple[tuple[int, int, int], ...]  # (start vertex, factor, element)
-    close: bool
 
 
 @dataclass(frozen=True)
@@ -214,26 +218,6 @@ def cycle_walks(g: CoverGraph, x: NormalForm) -> Iterator[tuple[list[int], list[
             seen[cur] = 1
             cur = perm[cur]
         yield orbit, [prefix[v] for v in orbit for prefix in prefixes]
-
-
-def x_cycles(g: CoverGraph, x: NormalForm) -> list[XCycle]:
-    """One cycle per orbit of the x-action, with its close-edge flag.
-
-    A cycle is close-edged when two distinct edges of it lie in the same
-    factor component; repeated traversals of one edge do not count.
-    """
-    _require_hyperbolic(x)
-    orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
-    syl = x.syllables
-    out = []
-    for orbit, walk in cycle_walks(g, x):
-        steps = tuple(
-            (start, f, val) for start, (f, val) in zip(walk, syl * len(orbit))
-        )
-        edges = set(steps)
-        close = len({(f, orbit_labels[f][start]) for start, f, _val in edges}) < len(edges)
-        out.append(XCycle(orbit[0], len(orbit), steps, close))
-    return out
 
 
 def close_pairs(g: CoverGraph, x: NormalForm) -> Iterator[tuple[list[int], int, int]]:
@@ -391,6 +375,52 @@ def _induction_moves(a: FiniteGroup, b: FiniteGroup) -> tuple[tuple[tuple[Move, 
     return tuple(moves)
 
 
+def _psihat(letters: Letters, maps: Maps, inverse_maps: Maps, y: int) -> Sequence[int]:
+    """The fiber permutation of a basis word: each letter's map in turn."""
+    out: Sequence[int] = range(y)
+    for idx, exp in letters:
+        out = tuple(map((maps[idx] if exp > 0 else inverse_maps[idx]).__getitem__, out))
+    return out
+
+
+def fiber_returns(a: FiniteGroup, b: FiniteGroup, w: NormalForm) -> Returns:
+    """(m, letters): m is the order of w's image in A x B and, for the least
+    coset of each w-orbit of cosets, ``letters`` holds the freely reduced
+    basis rewriting of t w^m t^-1, walked through :func:`_induction_moves`."""
+    moves = _induction_moves(a, b)
+    seen = bytearray(a.n * b.n)
+    returns = []
+    for start in range(a.n * b.n):
+        if seen[start]:
+            continue
+        letters: list[tuple[int, int]] = []
+        t = start
+        while True:
+            for f, c in w.syllables:
+                t, gamma = moves[f][c][t]
+                for idx, exp in gamma:
+                    if letters and letters[-1] == (idx, -exp):
+                        letters.pop()
+                    else:
+                        letters.append((idx, exp))
+            seen[t] = 1
+            if t == start:
+                break
+        returns.append(tuple(letters))
+    # w's image acts freely on the cosets, so each orbit holds m of them
+    return a.n * b.n // len(returns), tuple(returns)
+
+
+def fiber_order(returns: Returns, maps: Maps, inverse_maps: Maps, y: int) -> int:
+    """The order of a word with :func:`fiber_returns` ``returns`` on the graph
+    induced from the fiber maps ``maps`` (inverses ``inverse_maps``) on y
+    points: m times the lcm of its return maps' orders."""
+    m, letter_lists = returns
+    return m * math.lcm(
+        *(perm_array_order(_psihat(letters, maps, inverse_maps, y)) for letters in letter_lists)
+    )
+
+
 def induced_graph(
     a: FiniteGroup,
     b: FiniteGroup,
@@ -418,13 +448,6 @@ def induced_graph(
 
     maps = [p.map for p in psi]
     inverse_maps = [p.inverse().map for p in psi]
-
-    def psihat(letters: tuple[tuple[int, int], ...]) -> Sequence[int]:
-        out: Sequence[int] = range(y_count)
-        for idx, exp in letters:
-            out = tuple(map((maps[idx] if exp > 0 else inverse_maps[idx]).__getitem__, out))
-        return out
-
     new_acts = []
     for per_syllable in _induction_moves(a, b):
         rows = [tuple(range(v_new))]
@@ -433,7 +456,8 @@ def induced_graph(
             # transversal element t fills positions t*y .. t*y + y - 1, in order
             for t2_idx, letters in moves:
                 offset = t2_idx * y_count
-                row.extend([offset + point for point in psihat(letters)])
+                fiber = _psihat(letters, maps, inverse_maps, y_count)
+                row.extend([offset + point for point in fiber])
             rows.append(tuple(row))
         new_acts.append(tuple(rows))
     return _checked(CoverGraph((a, b), (new_acts[0], new_acts[1])))

@@ -31,10 +31,10 @@ from .covergraph import (
     close_edge_scan,
     close_pairs,
     cycle_walks,
+    fiber_order,
     gamma_surgery,
     graph_to_json,
     induced_graph,
-    perm_array_order,
     word_perm_array,
     word_order,
 )
@@ -189,6 +189,8 @@ def lemma1_boost(
     _require_cartesian_targets(targets, factors)
     cb = cartesian_basis(factors)
     letters = [rewrite(w, factors) for w in targets]
+    # a draw is prefiltered on the base coset only, whose return is w itself
+    base_returns = [(1, (tuple(word_letters),)) for word_letters in letters]
     threshold = p ** n_power
 
     rng = random.Random(sub_seed(seed, "lemma1", p, n_power))
@@ -211,15 +213,7 @@ def lemma1_boost(
         psi = [random_wreath_element(p, m, rng) for _ in range(cb.rank)]
         maps = [q.map for q in psi]
         inv_maps = [q.inverse().map for q in psi]
-        ok = True
-        for word_letters in letters:
-            cur = range(y)
-            for idx, exp in word_letters:
-                cur = tuple(map((maps[idx] if exp > 0 else inv_maps[idx]).__getitem__, cur))
-            if perm_array_order(cur) <= threshold:
-                ok = False
-                break
-        if not ok:
+        if any(fiber_order(r, maps, inv_maps, y) <= threshold for r in base_returns):
             continue
         graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
         orders = [word_order(graph, w) for w in targets]

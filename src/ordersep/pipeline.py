@@ -13,8 +13,15 @@ import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .config import RunConfig, json_int, sub_seed
-from .covergraph import CoverGraph, cayley_base, induced_graph, word_order
+from .config import RunConfig, json_int, json_list, sub_seed
+from .covergraph import (
+    CoverGraph,
+    cayley_base,
+    fiber_order,
+    fiber_returns,
+    induced_graph,
+    word_order,
+)
 from .errors import (
     ConjugatePair,
     EmptyTargets,
@@ -106,7 +113,9 @@ def parse_factors(data: list) -> Factors:
     for entry in data:
         kind = entry.get("type") if isinstance(entry, dict) else None
         if kind == "finite":
-            specs.append(FactorSpec("finite", validate_group(entry["table"])))
+            rows = json_list(entry.get("table"), "factor table")
+            table = [json_list(row, "factor table row") for row in rows]
+            specs.append(FactorSpec("finite", validate_group(table)))
         elif kind == "infinite_cyclic":
             specs.append(FactorSpec("infinite_cyclic"))
         else:
@@ -116,8 +125,10 @@ def parse_factors(data: list) -> Factors:
 
 def parse_word(raw: list, factors: Factors) -> NormalForm:
     """The normal form of a word given as ``[factor, value]`` syllables."""
+    syllables = [json_list(s, "syllable", 2) for s in json_list(raw, "word")]
     return normalize(
-        [(json_int(f, "syllable factor"), json_int(v, "syllable value")) for f, v in raw], factors
+        [(json_int(f, "syllable factor"), json_int(v, "syllable value")) for f, v in syllables],
+        factors,
     )
 
 
@@ -233,11 +244,12 @@ def _identity_hom(group: FiniteGroup) -> FactorHom:
 
 
 def _finite_candidates(group: FiniteGroup):
-    for subset in normal_subgroups(group):
-        if len(subset) == 1:
-            yield _identity_hom(group)
-        else:
-            yield quotient(group, subset)[1]
+    """The group's quotients, identity first: it is almost always accepted,
+    so the normal subgroups are listed only when it is not (the trivial
+    subgroup sorts first among them)."""
+    yield _identity_hom(group)
+    for subset in normal_subgroups(group)[1:]:
+        yield quotient(group, subset)[1]
 
 
 def _modulus_candidates(bound: int):
@@ -475,10 +487,12 @@ def _finite_stage(
     product action and add lemma components only for pairs whose orders
     collide, one pair per repair round.
 
-    One rule accepts a round's candidate component: it must give the round's
-    pair distinct orders and leave colliding only pairs that collided
-    before.  The colliding set so shrinks every round, and at most C(n, 2)
-    rounds run.
+    One rule accepts a round's candidate, given as each target's order on
+    it: it must give the round's pair distinct orders and leave colliding
+    only pairs that collided before.  The colliding set so shrinks every
+    round, and at most C(n, 2) rounds run.  Lemma candidates are scored on
+    their graphs, small actions by the fiber evaluator before any graph is
+    built.
     """
     base = cayley_base(*rfactors.groups(), max_vertices=config.max_vertices)
     components = [Component(base, None, "factor product action")]
@@ -489,14 +503,12 @@ def _finite_stage(
     while colliding := _colliding(orders):
         i, j = min(colliding)
 
-        def accepts(graphs: list[CoverGraph]) -> bool:
-            """Whether adding ``graphs`` parts (i, j) and merges no other
-            pair; on acceptance their orders become the stage's orders."""
+        def accepts(candidate: list[int]) -> bool:
+            """Whether adding a candidate on which target n has order
+            ``candidate[n]`` parts (i, j) and merges no other pair; on
+            acceptance the lcms become the stage's orders."""
             nonlocal orders
-            new = {
-                n: math.lcm(o, *(word_order(g, mapped[n]) for g in graphs))
-                for n, o in orders.items()
-            }
+            new = {n: math.lcm(o, candidate[n]) for n, o in orders.items()}
             if new[i] == new[j] or not _colliding(new) <= colliding:
                 return False
             orders = new
@@ -508,6 +520,11 @@ def _finite_stage(
         )
         round_no += 1
     return components, orders
+
+
+def _orders_on(graphs: list[CoverGraph], mapped: list[NormalForm]) -> list[int]:
+    """Each target's order on the disjoint union of ``graphs``."""
+    return [math.lcm(*(word_order(g, w) for g in graphs)) for w in mapped]
 
 
 def _repair_pair(
@@ -522,7 +539,7 @@ def _repair_pair(
     config: RunConfig,
     seed: int,
     transcript: list[dict],
-    accepts: Callable[[list[CoverGraph]], bool],
+    accepts: Callable[[list[int]], bool],
 ) -> list[Component]:
     """The first candidate component(s) for the colliding pair (i, j) that
     ``accepts`` takes, tried in a fixed order per kind of pair:
@@ -556,16 +573,16 @@ def _repair_pair(
                 valuation(p, word_order(c.graph, cls.root)) for c in components
             ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
             comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
-            if accepts([comp.graph]):
+            if accepts(_orders_on([comp.graph], mapped)):
                 transcript.append({"stage": stage, "pair": [i, j], "prime": p})
                 return [comp]
-        comp = _small_action(accepts, rfactors, config, seed)
+        comp = _small_action(accepts, mapped, rfactors, config, seed)
         if comp is not None:
             transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
             return [comp]
     elif in_i and in_j:
         stage = "repair-cross-class"
-        comp = _small_action(accepts, rfactors, config, seed)
+        comp = _small_action(accepts, mapped, rfactors, config, seed)
         if comp is not None:
             transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
             return [comp]
@@ -573,7 +590,7 @@ def _repair_pair(
             [classes[root_of[i]].root, classes[root_of[j]].root], used, rfactors,
             seed=seed, config=config,
         )
-        if accepts([c.graph for c in res.components]):
+        if accepts(_orders_on([c.graph for c in res.components], mapped)):
             transcript.append({"stage": stage, "pair": [i, j]})
             return res.components
     elif in_i or in_j:
@@ -584,7 +601,7 @@ def _repair_pair(
         p = fresh_prime(used)
         # the target powers into root^k: p divides its order once the root's exceeds k's p-part
         comp = lemma1_boost([cls.root], p, valuation(p, abs(k)), rfactors, seed=seed, config=config)
-        if accepts([comp.graph]):
+        if accepts(_orders_on([comp.graph], mapped)):
             transcript.append({"stage": stage, "pair": [i, j], "prime": p})
             return [comp]
     else:
@@ -593,23 +610,37 @@ def _repair_pair(
 
 
 def _small_action(
-    accepts: Callable[[list[CoverGraph]], bool], rfactors: Factors, config: RunConfig, seed: int,
+    accepts: Callable[[list[int]], bool],
+    mapped: list[NormalForm],
+    rfactors: Factors,
+    config: RunConfig,
+    seed: int,
 ) -> Component | None:
     """The first component induced from random fiber permutations on 2, 3,
     ... points that ``accepts`` takes, or None.  Lemma 1's wreath p-groups
     give two hyperbolic roots the same order almost surely, and the Lemma 2
     surgery inside Lemma 3 can grow without bound; a small symmetric fiber
-    usually tells two targets apart."""
+    usually tells two targets apart.
+
+    Each draw is scored by the fiber evaluator from the targets' return
+    letters, computed once per call; only the accepted draw's graph is
+    built, and its word orders must match the scores."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
+    returns = [fiber_returns(ga, gb, w) for w in mapped]
     rng = random.Random(seed)
     for y in SMALL_FIBERS:
         if ga.n * gb.n * y > config.max_vertices:
             break
         for _draw in range(SMALL_DRAWS):
-            psi = [Permutation(y, tuple(rng.sample(range(y), y))) for _ in range(rank)]
-            graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
-            if accepts([graph]):
+            maps = [tuple(rng.sample(range(y), y)) for _ in range(rank)]
+            inverse_maps = [tuple(sorted(range(y), key=p.__getitem__)) for p in maps]
+            scores = [fiber_order(r, maps, inverse_maps, y) for r in returns]
+            if accepts(scores):
+                psi = [Permutation(y, p) for p in maps]
+                graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
+                if _orders_on([graph], mapped) != scores:
+                    raise InternalError("fiber evaluator disagrees with the small action's graph")
                 return Component(graph, None, f"small action on fiber {y}")
     return None
 

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import importlib.util
 import random
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ordersep.covergraph import CoverGraph
+from ordersep.covergraph import CoverGraph, _require_hyperbolic, cycle_walks
 from ordersep.errors import BudgetExceeded
 from ordersep.groupcore import FiniteGroup, Permutation, validate_group
 from ordersep.words import IDENTITY, Factors, NormalForm, invert, multiply
@@ -103,6 +104,36 @@ def evaluate_basis_word(
         term = basis[idx] if exp > 0 else invert(basis[idx], factors)
         acc = multiply(acc, term, factors)
     return acc
+
+
+@dataclass(frozen=True)
+class XCycle:
+    """One orbit of the x-action, walked as a closed path spelling x^k."""
+
+    base: int
+    k: int
+    steps: tuple[tuple[int, int, int], ...]  # (start vertex, factor, element)
+    close: bool
+
+
+def x_cycles(g: CoverGraph, x: NormalForm) -> list[XCycle]:
+    """One cycle per orbit of the x-action, with its close-edge flag.
+
+    A cycle is close-edged when two distinct edges of it lie in the same
+    factor component; repeated traversals of one edge do not count.
+    """
+    _require_hyperbolic(x)
+    orbit_labels = (g.factor_orbits(0), g.factor_orbits(1))
+    syl = x.syllables
+    out = []
+    for orbit, walk in cycle_walks(g, x):
+        steps = tuple(
+            (start, f, val) for start, (f, val) in zip(walk, syl * len(orbit))
+        )
+        edges = set(steps)
+        close = len({(f, orbit_labels[f][start]) for start, f, _val in edges}) < len(edges)
+        out.append(XCycle(orbit[0], len(orbit), steps, close))
+    return out
 
 
 def graphs_equal(g1: CoverGraph, g2: CoverGraph) -> bool:

@@ -341,6 +341,45 @@ class TestMissingKeys:
         assert payload == {"error": "ParseError", "detail": f"argument file lacks the key {key!r}"}
 
 
+class TestArgumentShapes:
+    """A value of the wrong shape in a lemma or graph argument file is a
+    parse error (exit 5), not a raw exception."""
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("lemma1", "targets", 5),
+            ("lemma1", "targets", [5]),
+            ("lemma1", "targets", [[[0]]]),
+            ("lemma1", "factors", [{"type": "finite"}, {"type": "finite", "table": Z3}]),
+            ("lemma1", "factors", [{"type": "finite", "table": 5}, {"type": "finite", "table": Z3}]),
+            ("lemma1", "config", 5),
+            ("lemma2", "targets", "abab"),
+            ("lemma3", "pi", 3),
+            ("lemma4", "word", 7),
+            ("lemma4", "word", [[0, 1, 1]]),
+            ("lemma4", "exponents", 2),
+            ("surgery", "marks", [[0]]),
+            ("surgery", "marks", 0),
+            ("product", "graphs", 5),
+            ("product", "graphs", [TestMissingKeys.GRAPH]),
+            ("product", "base", [0]),
+        ],
+        ids=[
+            "targets-int", "target-int", "syllable-short", "table-missing", "table-int",
+            "config-int", "targets-string", "pi-int", "word-int", "syllable-long",
+            "exponents-int", "mark-short", "marks-int", "graphs-int", "graphs-one",
+            "base-short",
+        ],
+    )
+    def test_bad_shape_exit_5(self, tmp_path, capsys, command, key, value):
+        args = {**TestMissingKeys.ARGS[command], key: value}
+        argv = ["graph", command] if command in ("surgery", "product") else [command]
+        capsys.readouterr()
+        assert run_cli(["--json", *argv, write(tmp_path, "args.json", args)]) == 5
+        assert json.loads(capsys.readouterr().err)["error"] == "ParseError"
+
+
 class TestOracleCommand:
     def test_default_degree(self):
         assert _build_parser().parse_args(["oracle", "inst.json"]).max_degree == 8

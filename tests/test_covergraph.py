@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersep.cli import run_cli
 from ordersep.errors import BudgetExceeded, ConflictingMarks, FactorElement, ParseError
@@ -22,6 +23,8 @@ from ordersep.covergraph import (
     cayley_base,
     close_edge_scan,
     close_pairs,
+    fiber_order,
+    fiber_returns,
     gamma_surgery,
     graph_from_json,
     graph_to_dot,
@@ -31,7 +34,6 @@ from ordersep.covergraph import (
     validate_cover,
     word_order,
     word_perm_array,
-    x_cycles,
 )
 from ordersep.words import (
     IDENTITY,
@@ -40,12 +42,13 @@ from ordersep.words import (
     factor_image,
     finite_factors,
     invert,
+    minimal_cartesian_power,
     multiply,
     normalize,
     rewrite,
 )
 
-from helpers import graphs_equal
+from helpers import graphs_equal, x_cycles
 from test_words import random_word
 
 A = (0, 1)
@@ -478,6 +481,48 @@ class TestInductionCache:
                         for idx, exp in rewrite(gamma, factors):
                             point = (psi[idx] if exp > 0 else psi[idx].inverse())(point)
                         assert g.acts[f][c][t_idx * y + fiber] == t2_idx * y + point
+
+
+@st.composite
+def fiber_cases(draw):
+    """A factor pair, a fiber assignment on 1-8 points and a word; words
+    include the identity, factor elements and non-Cartesian hyperbolic
+    words."""
+    a, b = draw(st.sampled_from(FACTOR_PAIRS))
+    y = draw(st.integers(1, 8))
+    rank = (a.n - 1) * (b.n - 1)
+    maps = [tuple(draw(st.permutations(range(y)))) for _ in range(rank)]
+    syllables = draw(st.lists(
+        st.integers(0, 1).flatmap(lambda f: st.tuples(st.just(f), st.integers(1, (a, b)[f].n - 1))),
+        max_size=10,
+    ))
+    return a, b, y, maps, normalize(syllables, finite_factors(a, b))
+
+
+class TestFiberOrder:
+    """The fiber evaluator gives a word's order on an induced action without
+    building the graph."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(fiber_cases())
+    def test_matches_word_order_on_induced_graph(self, case):
+        a, b, y, maps, w = case
+        inverse_maps = [Permutation(y, p).inverse().map for p in maps]
+        g = induced_graph(a, b, y, [Permutation(y, p) for p in maps])
+        assert fiber_order(fiber_returns(a, b, w), maps, inverse_maps, y) == word_order(g, w)
+
+    @pytest.mark.parametrize("pair", range(len(FACTOR_PAIRS)))
+    def test_one_return_per_coset_orbit(self, pair):
+        a, b = FACTOR_PAIRS[pair]
+        factors = finite_factors(a, b)
+        rng = random.Random(pair)
+        for _ in range(50):
+            w = random_word(factors, rng, 6)
+            m, letters = fiber_returns(a, b, w)
+            assert m == (1 if w.is_identity else minimal_cartesian_power(w, factors))
+            assert len(letters) * m == a.n * b.n
+            # the least coset's return is w^m itself, rewritten over the basis
+            assert list(letters[0]) == rewrite(normalize(w.syllables * m, factors), factors)
 
 
 class TestGraphIO:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ordersep.config import RunConfig
-from ordersep.covergraph import cayley_base, close_edge_scan, word_order, word_perm_array, x_cycles
+from ordersep.covergraph import cayley_base, close_edge_scan, word_order, word_perm_array
 from ordersep import lemmas
 from ordersep.errors import (
     BudgetExceeded,
@@ -30,6 +30,8 @@ from ordersep.lemmas import (
     valuation,
 )
 from ordersep.words import NormalForm, invert, multiply, normalize, power
+
+from helpers import x_cycles
 
 A = (0, 1)
 B = (1, 1)

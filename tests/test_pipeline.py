@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from ordersep import pipeline
 from ordersep.config import RunConfig
 from ordersep.covergraph import word_order
 from ordersep.errors import (
@@ -12,6 +13,7 @@ from ordersep.errors import (
     ConjugatePair,
     EmptyTargets,
     HypothesisViolation,
+    InternalError,
     NoFactorHom,
     ParseError,
     RepairBudgetExceeded,
@@ -141,6 +143,15 @@ class TestReduceFactors:
         reduced = check_hypotheses(inst)
         with pytest.raises(NoFactorHom):
             reduce_factors(inst, reduced, classify_targets(reduced))
+
+    def test_identity_quotient_before_normal_subgroups(self):
+        # Z/129 is over the normal-subgroup bound, but its identity quotient
+        # already gives a, b and ab distinct orders
+        factors = finite_factors(cyclic_group(129), cyclic_group(2))
+        inst = Instance(factors, [NormalForm((A,)), NormalForm((B,)), AB])
+        cert = separate(inst)
+        assert cert.orders == {0: 129, 1: 2, 2: 258}
+        assert verified(inst, cert).verdict
 
     def test_gamma_syllables_survive(self, f23):
         inst = Instance(f23, [ABAB2])
@@ -404,6 +415,54 @@ class TestOracleSweep:
             assert len(set(cert.orders.values())) == len(inst.targets), case
             assert verified(inst, cert).verdict, case
         assert divergences == KNOWN_DIVERGENCES.get(pair, [])
+
+
+class TestSmallAction:
+    """Small-action draws are scored without graphs: only the accepted draw's
+    graph is built."""
+
+    B2 = (1, 2)
+    TARGETS = [[A, B2, A, B, A, B, A, B2], [A, B2], [B2, A, B, A]]
+
+    @pytest.fixture
+    def graphs_built(self, monkeypatch):
+        calls = []
+        real = pipeline.induced_graph
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "induced_graph", counted)
+        return calls
+
+    def mapped(self, f23):
+        return [normalize(w, f23) for w in self.TARGETS]
+
+    def test_one_graph_for_the_accepted_draw(self, f23, graphs_built):
+        mapped = self.mapped(f23)
+        scored = []
+
+        def accepts(scores):
+            scored.append(scores)
+            return len(set(scores)) == 3
+
+        comp = pipeline._small_action(accepts, mapped, f23, RunConfig(), 0)
+        assert comp is not None and graphs_built == [comp.graph.vcount // 6]
+        assert [word_order(comp.graph, w) for w in mapped] == scored[-1]
+
+    def test_no_graph_when_no_draw_is_accepted(self, f23, graphs_built):
+        scored = []
+        comp = pipeline._small_action(
+            lambda s: scored.append(s) and False, self.mapped(f23), f23, RunConfig(), 0
+        )
+        assert comp is None and graphs_built == []
+        assert len(scored) == len(pipeline.SMALL_FIBERS) * pipeline.SMALL_DRAWS
+
+    def test_evaluator_disagreement_is_internal_error(self, f23, monkeypatch):
+        monkeypatch.setattr(pipeline, "fiber_order", lambda *args: 1)
+        with pytest.raises(InternalError, match="fiber evaluator"):
+            pipeline._small_action(lambda s: True, self.mapped(f23), f23, RunConfig(), 0)
 
 
 class TestRepairAcceptance:
