@@ -111,9 +111,6 @@ class Permutation:
             out.append(length)
         return out
 
-    def is_identity(self) -> bool:
-        return all(i == j for i, j in enumerate(self.map))
-
 
 def perm_order(g: Permutation) -> int:
     """Order of a permutation: lcm of its cycle lengths."""

@@ -177,8 +177,13 @@ def lemma1_boost(
 
     Targets are rewritten over the Cartesian basis; random fiber assignments
     into the wreath p-group on p^m points are drawn until all evaluated
-    orders clear the threshold, growing m on sustained failure.  The winning
-    assignment is materialized as an induced graph and re-verified there.
+    orders clear the threshold, growing m on sustained failure.  Each draw is
+    prefiltered on the base coset, whose return is the target itself; only
+    the winning assignment is materialized as an induced graph.  There each
+    target's base-coset order divides its order, and every cycle of a wreath
+    p-group has p-power length, so the orders must clear the threshold as
+    p-powers (``InternalError`` otherwise).  A fiber that cannot fit in
+    ``max_vertices`` raises ``BudgetExceeded`` before any draw.
     ``fiber_exponent`` forces a larger starting fiber.
     """
     if not is_prime(p):
@@ -197,6 +202,8 @@ def lemma1_boost(
     m = max(n_power + 1, fiber_exponent or 0)
     while p ** m * ga.n * gb.n > config.max_vertices and m > n_power + 1:
         m -= 1
+    if p ** m * ga.n * gb.n > config.max_vertices:
+        raise BudgetExceeded(f"{p ** m * ga.n * gb.n} vertices over budget {config.max_vertices}")
     # on p points the wreath group is Z/p, where a word whose basis exponent
     # sums all vanish mod p acts trivially, so that fiber level is dead
     if m == 1 and p ** 2 * ga.n * gb.n <= config.max_vertices and any(
@@ -217,12 +224,11 @@ def lemma1_boost(
             continue
         graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
         orders = [word_order(graph, w) for w in targets]
-        if all(o > threshold and is_prime_power(o, p) for o in orders):
-            return Component(
-                graph,
-                p,
-                note=f"boost p={p} above {p}^{n_power} (fiber {y}, attempt {attempts})",
-            )
+        if not all(o > threshold and is_prime_power(o, p) for o in orders):
+            raise InternalError("a prefiltered Lemma 1 draw fails the threshold on its graph")
+        return Component(
+            graph, p, note=f"boost p={p} above {p}^{n_power} (fiber {y}, attempt {attempts})"
+        )
     raise SearchBudgetExceeded(seed, attempts)
 
 

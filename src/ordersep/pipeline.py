@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .config import RunConfig, json_int, json_list, sub_seed
@@ -310,21 +309,22 @@ def _search_hom_pair(specs, bound, feasible, try_pair):
     at a time.  Pairs are tried lazily by growing maximum level, candidates
     in stream order, so the result is deterministic.  An exhausted search
     raises ``NoFactorHom`` when both factors are finite and
-    ``ModulusBudgetExceeded`` otherwise.
+    ``ModulusBudgetExceeded`` otherwise.  A finite factor with no feasible
+    quotient raises ``NoFactorHom`` as soon as its stream ends, before the
+    other factor's stream is read on.
     """
     streams = [_candidate_stream(specs[0], bound), _candidate_stream(specs[1], bound)]
     kept: list[list] = [[], []]
     exhausted = [False, False]
 
-    def pull(f: int) -> bool:
-        while True:
-            nxt = next(streams[f], None)
-            if nxt is None:
-                exhausted[f] = True
-                return False
+    def pull(f: int) -> None:
+        for nxt in streams[f]:
             if feasible[f](nxt):
                 kept[f].append(nxt)
-                return True
+                return
+        exhausted[f] = True
+        if not kept[f] and specs[f].is_finite:
+            raise NoFactorHom("factor homomorphism search exhausted")
 
     level = 0
     while True:
@@ -487,12 +487,12 @@ def _finite_stage(
     product action and add lemma components only for pairs whose orders
     collide, one pair per repair round.
 
-    One rule accepts a round's candidate, given as each target's order on
-    it: it must give the round's pair distinct orders and leave colliding
-    only pairs that collided before.  The colliding set so shrinks every
-    round, and at most C(n, 2) rounds run.  Lemma candidates are scored on
-    their graphs, small actions by the fiber evaluator before any graph is
-    built.
+    A round reads the least colliding pair's candidates from
+    ``_repair_pair`` and keeps the first that gives the pair distinct orders
+    and leaves colliding only pairs that collided before; only then are its
+    components built.  The colliding set so shrinks every round, and at most
+    C(n, 2) rounds run.  A round whose candidates run out raises
+    ``RepairBudgetExceeded`` naming its stage and pair.
     """
     base = cayley_base(*rfactors.groups(), max_vertices=config.max_vertices)
     components = [Component(base, None, "factor product action")]
@@ -502,24 +502,34 @@ def _finite_stage(
     round_no = 0
     while colliding := _colliding(orders):
         i, j = min(colliding)
-
-        def accepts(candidate: list[int]) -> bool:
-            """Whether adding a candidate on which target n has order
-            ``candidate[n]`` parts (i, j) and merges no other pair; on
-            acceptance the lcms become the stage's orders."""
-            nonlocal orders
-            new = {n: math.lcm(o, candidate[n]) for n, o in orders.items()}
-            if new[i] == new[j] or not _colliding(new) <= colliding:
-                return False
-            orders = new
-            return True
-
-        components.extend(
-            _repair_pair(i, j, mapped, classes, root_of, components, orders, rfactors, config,
-                         sub_seed(seed, "repair", round_no), transcript, accepts)
+        stage = _pair_stage(i, j, root_of)
+        candidates = _repair_pair(
+            stage, i, j, mapped, classes, root_of, components, orders, rfactors, config,
+            sub_seed(seed, "repair", round_no),
         )
+        for scores, build, entry in candidates:
+            new = {n: math.lcm(o, scores[n]) for n, o in orders.items()}
+            if new[i] != new[j] and _colliding(new) <= colliding:
+                break
+        else:
+            raise RepairBudgetExceeded(
+                f"{stage}: no candidate parts pair {(i, j)} without merging another"
+            )
+        components.extend(build())
+        transcript.append({"stage": stage, "pair": [i, j], **entry})
+        orders = new
         round_no += 1
     return components, orders
+
+
+def _pair_stage(i: int, j: int, root_of: dict[int, int]) -> str:
+    """The repair stage of a colliding pair, by the hyperbolic classes its
+    targets lie in; two factor targets never collide after reduction."""
+    if i in root_of and j in root_of:
+        return "repair-same-class" if root_of[i] == root_of[j] else "repair-cross-class"
+    if i in root_of or j in root_of:
+        return "repair-vs-factor"
+    raise InternalError(f"factor targets {i},{j} collide after reduction")
 
 
 def _orders_on(graphs: list[CoverGraph], mapped: list[NormalForm]) -> list[int]:
@@ -527,37 +537,31 @@ def _orders_on(graphs: list[CoverGraph], mapped: list[NormalForm]) -> list[int]:
     return [math.lcm(*(word_order(g, w) for g in graphs)) for w in mapped]
 
 
+def _built(comps: list[Component], mapped: list[NormalForm], entry: dict):
+    """A candidate whose components are already built, scored on their graphs."""
+    return _orders_on([c.graph for c in comps], mapped), lambda: comps, entry
+
+
 def _repair_pair(
-    i: int,
-    j: int,
-    mapped: list[NormalForm],
-    classes: list[HyperClass],
-    root_of: dict[int, int],
-    components: list[Component],
-    orders: dict[int, int],
-    rfactors: Factors,
-    config: RunConfig,
-    seed: int,
-    transcript: list[dict],
-    accepts: Callable[[list[int]], bool],
-) -> list[Component]:
-    """The first candidate component(s) for the colliding pair (i, j) that
-    ``accepts`` takes, tried in a fixed order per kind of pair:
+    stage: str, i: int, j: int, mapped: list[NormalForm], classes: list[HyperClass],
+    root_of: dict[int, int], components: list[Component], orders: dict[int, int],
+    rfactors: Factors, config: RunConfig, seed: int,
+):
+    """The repair candidates for the colliding pair (i, j), lazily, in a
+    fixed order per stage:
 
     - same class: a Lemma 1 boost of the class root at each prime where the
-      two members' valuation profiles differ, ascending, then a small action;
-    - two classes: a small action, then Lemma 3 on the two roots;
+      two members' valuation profiles differ, ascending, then small actions;
+    - two classes: small actions, then Lemma 3 on the two roots;
     - a hyperbolic target against a factor element: a Lemma 1 boost at a
       prime dividing no current order.
 
-    Raises ``RepairBudgetExceeded`` naming the stage and the pair when no
-    candidate is accepted.
+    A candidate is (each target's order on it, a ``build()`` returning its
+    components, its transcript entry).
     """
-    in_i, in_j = i in root_of, j in root_of
     ga, gb = rfactors.groups()
     used = set().union(*map(factorization, [*orders.values(), ga.n, gb.n]))
-    if in_i and in_j and root_of[i] == root_of[j]:
-        stage = "repair-same-class"
+    if stage == "repair-same-class":
         cls = classes[root_of[i]]
         data = {idx: (k, l) for idx, k, l in cls.members}
         (ki, li), (kj, lj) = data[i], data[j]
@@ -573,58 +577,35 @@ def _repair_pair(
                 valuation(p, word_order(c.graph, cls.root)) for c in components
             ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
             comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
-            if accepts(_orders_on([comp.graph], mapped)):
-                transcript.append({"stage": stage, "pair": [i, j], "prime": p})
-                return [comp]
-        comp = _small_action(accepts, mapped, rfactors, config, seed)
-        if comp is not None:
-            transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
-            return [comp]
-    elif in_i and in_j:
-        stage = "repair-cross-class"
-        comp = _small_action(accepts, mapped, rfactors, config, seed)
-        if comp is not None:
-            transcript.append({"stage": stage, "pair": [i, j], "action": comp.note})
-            return [comp]
+            yield _built([comp], mapped, {"prime": p})
+        yield from _small_action(mapped, rfactors, config, seed)
+    elif stage == "repair-cross-class":
+        yield from _small_action(mapped, rfactors, config, seed)
         res = lemma3_separate(
             [classes[root_of[i]].root, classes[root_of[j]].root], used, rfactors,
             seed=seed, config=config,
         )
-        if accepts(_orders_on([c.graph for c in res.components], mapped)):
-            transcript.append({"stage": stage, "pair": [i, j]})
-            return res.components
-    elif in_i or in_j:
-        stage = "repair-vs-factor"
-        idx = i if in_i else j
+        yield _built(res.components, mapped, {})
+    else:
+        idx = i if i in root_of else j
         cls = classes[root_of[idx]]
         k = next(k for member, k, _l in cls.members if member == idx)
         p = fresh_prime(used)
         # the target powers into root^k: p divides its order once the root's exceeds k's p-part
         comp = lemma1_boost([cls.root], p, valuation(p, abs(k)), rfactors, seed=seed, config=config)
-        if accepts(_orders_on([comp.graph], mapped)):
-            transcript.append({"stage": stage, "pair": [i, j], "prime": p})
-            return [comp]
-    else:
-        raise InternalError(f"factor targets {i},{j} collide after reduction")
-    raise RepairBudgetExceeded(f"{stage}: no candidate parts pair {(i, j)} without merging another")
+        yield _built([comp], mapped, {"prime": p})
 
 
-def _small_action(
-    accepts: Callable[[list[int]], bool],
-    mapped: list[NormalForm],
-    rfactors: Factors,
-    config: RunConfig,
-    seed: int,
-) -> Component | None:
-    """The first component induced from random fiber permutations on 2, 3,
-    ... points that ``accepts`` takes, or None.  Lemma 1's wreath p-groups
-    give two hyperbolic roots the same order almost surely, and the Lemma 2
-    surgery inside Lemma 3 can grow without bound; a small symmetric fiber
-    usually tells two targets apart.
+def _small_action(mapped: list[NormalForm], rfactors: Factors, config: RunConfig, seed: int):
+    """Repair candidates induced from random fiber permutations on 2, 3, ...
+    points, one per draw.  Lemma 1's wreath p-groups give two hyperbolic
+    roots the same order almost surely, and the Lemma 2 surgery inside
+    Lemma 3 can grow without bound; a small symmetric fiber usually tells
+    two targets apart.
 
     Each draw is scored by the fiber evaluator from the targets' return
-    letters, computed once per call; only the accepted draw's graph is
-    built, and its word orders must match the scores."""
+    letters, computed once per call; only its ``build()`` makes the graph,
+    whose word orders must match the scores."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
     returns = [fiber_returns(ga, gb, w) for w in mapped]
@@ -636,13 +617,16 @@ def _small_action(
             maps = [tuple(rng.sample(range(y), y)) for _ in range(rank)]
             inverse_maps = [tuple(sorted(range(y), key=p.__getitem__)) for p in maps]
             scores = [fiber_order(r, maps, inverse_maps, y) for r in returns]
-            if accepts(scores):
+            note = f"small action on fiber {y}"
+
+            def build(y=y, maps=maps, scores=scores, note=note) -> list[Component]:
                 psi = [Permutation(y, p) for p in maps]
                 graph = induced_graph(ga, gb, y, psi, max_vertices=config.max_vertices)
                 if _orders_on([graph], mapped) != scores:
                     raise InternalError("fiber evaluator disagrees with the small action's graph")
-                return Component(graph, None, f"small action on fiber {y}")
-    return None
+                return [Component(graph, None, note)]
+
+            yield scores, build, {"action": note}
 
 
 def assemble_certificate(

@@ -1,5 +1,6 @@
 import functools
 import json
+import time
 
 import pytest
 
@@ -181,13 +182,58 @@ class TestRepairBudget:
     def test_no_repair_candidate_exit_3(self, tmp_path, capsys, monkeypatch):
         # seed 15 of the ten-target instances: with no small action, no
         # candidate parts pair (0, 6) without merging another pair
-        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: iter(()))
         targets = [z2z3_syllables(t) for t in TEN_TARGETS[15].split()]
         inst = write(tmp_path, "inst.json", instance_z2z3(targets))
         assert run_cli(["--json", "separate", inst, "--out", str(tmp_path / "c.json")]) == 3
         payload = json.loads(capsys.readouterr().err)
         assert payload["error"] == "RepairBudgetExceeded"
         assert "repair-same-class" in payload["detail"] and "(0, 6)" in payload["detail"]
+
+
+class TestPromptExits:
+    """Inputs outside the budgets exit at once: a finite factor with no
+    feasible quotient ends the factor-hom search (exit 2) and a Lemma 1 fiber
+    over ``max_vertices`` is refused before any draw (exit 3)."""
+
+    KLEIN_Z = [
+        {"type": "finite", "table": [[i ^ j for j in range(4)] for i in range(4)]},
+        {"type": "infinite_cyclic"},
+    ]
+    AB = [[0, 1], [1, 1]]
+    CASES = {
+        # the Klein targets x, y and the identity cannot get three image orders
+        "klein-z-auto": (
+            "separate", {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]], [[1, 2]]]}, 2,
+        ),
+        "klein-z-theorem12": (
+            "separate",
+            {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]]], "mode": "theorem12"},
+            2,
+        ),
+        # the same-class repair boosts at p=101 on 101^3 fiber points
+        "ab-ab101": ("separate", instance_z2z3([AB, AB * 101]), 3),
+        "lemma1-p1009": (
+            "lemma1",
+            {
+                "factors": [{"type": "finite", "table": Z2}, {"type": "finite", "table": Z3}],
+                "targets": [[[0, 1], [1, 1], [0, 1], [1, 2]]],
+                "p": 1009,
+                "n": 1,
+            },
+            3,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_exits_within_a_second(self, tmp_path, capsys, name):
+        command, data, code = self.CASES[name]
+        argv = [command, write(tmp_path, "in.json", data)]
+        if command == "separate":
+            argv += ["--out", str(tmp_path / "cert.json")]
+        start = time.monotonic()
+        assert run_cli(argv) == code
+        assert time.monotonic() - start < 1.0
 
 
 class TestIntegerInputs:

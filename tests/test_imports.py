@@ -12,7 +12,9 @@ the CLI loads nothing outside the standard library and the package.  Every
 ``RunConfig`` field is read by some module besides ``config``, so no knob
 is a no-op, and it holds only the three values a caller sets.  The
 factor-hom search ``_search_hom_pair`` has one user, ``reduce_factors``,
-so a second hom search cannot come back unnoticed.
+so a second hom search cannot come back unnoticed; likewise only
+``_finite_stage`` applies the repair acceptance rule and raises
+``RepairBudgetExceeded``, and no function takes an acceptance callback.
 """
 
 import ast
@@ -136,12 +138,36 @@ def test_config_holds_only_caller_set_values():
     assert list(RunConfig.__dataclass_fields__) == ["seed", "max_vertices", "lemma1_attempts"]
 
 
-def test_one_factor_hom_search():
-    uses = [
+def _name(node) -> str | None:
+    return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+
+def _sites(match) -> list[tuple[str, str]]:
+    """(module file, top-level definition) of every node ``match`` accepts."""
+    return [
         (path.name, getattr(top, "name", "<module>"))
         for path in sorted(PACKAGE.glob("*.py"))
         for top in ast.parse(path.read_text()).body
         for node in ast.walk(top)
-        if (node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)) == "_search_hom_pair"
+        if match(node)
     ]
-    assert uses == [("pipeline.py", "reduce_factors")]
+
+
+def test_one_factor_hom_search():
+    assert _sites(lambda node: _name(node) == "_search_hom_pair") == [
+        ("pipeline.py", "reduce_factors")
+    ]
+
+
+def test_one_repair_acceptance_loop():
+    # the acceptance rule compares colliding sets, so only the finite stage
+    # calls _colliding; candidates carry orders, never an acceptance callback
+    calls = _sites(lambda node: isinstance(node, ast.Call) and _name(node.func) == "_colliding")
+    assert set(calls) == {("pipeline.py", "_finite_stage")}
+    raises = _sites(
+        lambda node: isinstance(node, ast.Raise)
+        and isinstance(node.exc, ast.Call)
+        and _name(node.exc.func) == "RepairBudgetExceeded"
+    )
+    assert raises == [("pipeline.py", "_finite_stage")]
+    assert not _sites(lambda node: isinstance(node, ast.arg) and node.arg == "accepts")

@@ -9,6 +9,7 @@ from ordersep import lemmas
 from ordersep.errors import (
     BudgetExceeded,
     HypothesisViolation,
+    InternalError,
     NotCyclicallyReduced,
     NotInCartesian,
     PostconditionFailed,
@@ -158,6 +159,19 @@ class TestLemma1:
     def test_live_fiber_level_kept(self, f23):
         comp = lemma1_boost([ABAB2], 5, 0, f23, seed=0)
         assert "fiber 5," in comp.note
+
+    @pytest.mark.parametrize("p, n_power, vertices", [(1009, 1, 6 * 1009 ** 2), (101, 2, 6 * 101 ** 3)])
+    def test_fiber_over_budget_before_any_draw(self, f23, monkeypatch, p, n_power, vertices):
+        monkeypatch.setattr(lemmas, "random_wreath_element", lambda *args: pytest.fail("drew"))
+        with pytest.raises(BudgetExceeded, match=f"^{vertices} vertices over budget 1000000$"):
+            lemma1_boost([ABAB2], p, n_power, f23)
+
+    def test_graph_below_threshold_is_internal_error(self, f23, monkeypatch):
+        # the base-coset prefilter bounds the graph's orders from below, so
+        # a graph failing the threshold is a defect, not a draw to discard
+        monkeypatch.setattr(lemmas, "word_order", lambda graph, w: 1)
+        with pytest.raises(InternalError, match="fails the threshold"):
+            lemma1_boost([ABAB2], 2, 1, f23, seed=1)
 
 
 class TestConnectingWords:

@@ -265,7 +265,7 @@ class TestTheorem12:
     def test_cross_class_falls_back_to_lemma3(self, f23, monkeypatch):
         import ordersep.pipeline as pipeline
 
-        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: iter(()))
         inst = Instance(f23, [ABAB2, power(AB, 6, f23)], "theorem12")
         cert = separate(inst)
         entry = next(t for t in cert.transcript if t["stage"] == "repair-cross-class")
@@ -418,8 +418,8 @@ class TestOracleSweep:
 
 
 class TestSmallAction:
-    """Small-action draws are scored without graphs: only the accepted draw's
-    graph is built."""
+    """Small-action draws are scored without graphs: a candidate's graph is
+    built only when its ``build()`` is called."""
 
     B2 = (1, 2)
     TARGETS = [[A, B2, A, B, A, B, A, B2], [A, B2], [B2, A, B, A]]
@@ -439,30 +439,27 @@ class TestSmallAction:
     def mapped(self, f23):
         return [normalize(w, f23) for w in self.TARGETS]
 
-    def test_one_graph_for_the_accepted_draw(self, f23, graphs_built):
+    def test_no_graph_while_draws_are_read(self, f23, graphs_built):
+        draws = list(pipeline._small_action(self.mapped(f23), f23, RunConfig(), 0))
+        assert graphs_built == []
+        assert len(draws) == len(pipeline.SMALL_FIBERS) * pipeline.SMALL_DRAWS
+
+    def test_one_graph_per_build(self, f23, graphs_built):
+        # each build() makes its own draw's graph, even once later draws are read
         mapped = self.mapped(f23)
-        scored = []
-
-        def accepts(scores):
-            scored.append(scores)
-            return len(set(scores)) == 3
-
-        comp = pipeline._small_action(accepts, mapped, f23, RunConfig(), 0)
-        assert comp is not None and graphs_built == [comp.graph.vcount // 6]
-        assert [word_order(comp.graph, w) for w in mapped] == scored[-1]
-
-    def test_no_graph_when_no_draw_is_accepted(self, f23, graphs_built):
-        scored = []
-        comp = pipeline._small_action(
-            lambda s: scored.append(s) and False, self.mapped(f23), f23, RunConfig(), 0
-        )
-        assert comp is None and graphs_built == []
-        assert len(scored) == len(pipeline.SMALL_FIBERS) * pipeline.SMALL_DRAWS
+        draws = list(pipeline._small_action(mapped, f23, RunConfig(), 0))
+        picked = [draws[-1], draws[0]]
+        comps = [comp for _scores, build, _entry in picked for comp in build()]
+        assert graphs_built == [pipeline.SMALL_FIBERS[-1], pipeline.SMALL_FIBERS[0]]
+        for (scores, _build, entry), comp in zip(picked, comps):
+            assert entry == {"action": comp.note}
+            assert [word_order(comp.graph, w) for w in mapped] == scores
 
     def test_evaluator_disagreement_is_internal_error(self, f23, monkeypatch):
         monkeypatch.setattr(pipeline, "fiber_order", lambda *args: 1)
+        _scores, build, _entry = next(pipeline._small_action(self.mapped(f23), f23, RunConfig(), 0))
         with pytest.raises(InternalError, match="fiber evaluator"):
-            pipeline._small_action(lambda s: True, self.mapped(f23), f23, RunConfig(), 0)
+            build()
 
 
 class TestRepairAcceptance:
@@ -489,7 +486,7 @@ class TestRepairAcceptance:
     def test_no_candidate_names_stage_and_pair(self, f23, monkeypatch):
         import ordersep.pipeline as pipeline
 
-        monkeypatch.setattr(pipeline, "_small_action", lambda *args: None)
+        monkeypatch.setattr(pipeline, "_small_action", lambda *args: iter(()))
         with pytest.raises(RepairBudgetExceeded) as exc:
             separate(self.ten_targets(f23, 15))
         assert "repair-same-class" in str(exc.value) and "(0, 6)" in str(exc.value)
