@@ -55,7 +55,8 @@ def _dump(data: dict) -> str:
 
 def _load_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        with open(path) as handle:
+            text = handle.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
@@ -72,6 +73,8 @@ def _required(data: dict, key: str):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # the subcommand parsers, on the top-level parser
+
     def error(self, message):  # argparse would exit(2); map to parse errors
         raise ParseError(message)
 
@@ -83,6 +86,7 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="ordersep", description=__doc__)
     parser.add_argument("--json", action="store_true", help="machine-readable errors on stderr")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     run = sub.add_parser("separate", help="construct and verify a certificate")
     run.add_argument("instance")
@@ -109,6 +113,21 @@ def _build_parser() -> _Parser:
     gr.add_argument("action", choices=["surgery", "product", "dot"])
     gr.add_argument("file")
     return parser
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed by the named subcommand's parser alone, after any
+    leading ``--json`` (the one top-level option).  No command, an unknown
+    one or top-level help take the two-level parse, for its usage errors
+    and help text."""
+    parser = _build_parser()
+    rest = argv
+    while rest[:1] == ["--json"]:
+        rest = rest[1:]
+    if not rest or rest[0] not in parser.commands:
+        return parser.parse_args(argv)
+    top = argparse.Namespace(json=len(rest) < len(argv), command=rest[0])
+    return parser.commands[rest[0]].parse_args(rest[1:], top)
 
 
 def _apply_overrides(inst: Instance, args) -> Instance:
@@ -156,7 +175,8 @@ def _cmd_separate(args) -> int:
         raise PostconditionFailed({"failures": report.failures})
     if args.dot:
         _emit_dots(cert.components, args.dot)
-    Path(args.out).write_text(_dump(data))
+    with open(args.out, "w") as handle:
+        handle.write(_dump(data))
     orders = " ".join(f"{k}:{v}" for k, v in sorted(cert.orders.items()))
     print(f"verified certificate written to {args.out} (orders {orders})")
     return 0
@@ -246,9 +266,8 @@ def _cmd_graph(args) -> int:
 
 def run_cli(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
         if args.command == "separate":
             return _cmd_separate(args)
         if args.command in ("lemma1", "lemma2", "lemma3", "lemma4"):

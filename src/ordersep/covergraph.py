@@ -30,7 +30,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .config import json_int
 from .errors import (
@@ -99,7 +99,12 @@ class SurgeryMark:
 
 
 def validate_cover(g: CoverGraph) -> CoverReport:
-    """Check label bijectivity, factor freeness, and the composition law."""
+    """Check label bijectivity, factor freeness, and the composition law.
+
+    The law rho(c) rho(d) = rho(cd) is checked for c in the factor's
+    generating set and every d: the factor table is associative, so if it
+    holds for a and for g it holds for ag, and the generators reach every
+    element.  Only a failure scans every pair, to name the first."""
     identity = tuple(range(g.vcount))
     vertices = set(identity)
     for f in (0, 1):
@@ -124,11 +129,18 @@ def validate_cover(g: CoverGraph) -> CoverReport:
             fixed = next((v for v, x in enumerate(row) if x == v), None)
             if fixed is not None:
                 return CoverReport(False, "freeness", (f, c, fixed))
-        for c in range(1, group.n):
-            for d in range(1, group.n):
-                if tuple(map(rows[d].__getitem__, rows[c])) != tuple(rows[group.mul(c, d)]):
-                    return CoverReport(False, "group law", (f, c, d))
+        if next(_law_failures(group, rows, group.gens), None) is not None:
+            c, d = next(_law_failures(group, rows, range(1, group.n)))
+            return CoverReport(False, "group law", (f, c, d))
     return CoverReport(True)
+
+
+def _law_failures(group: FiniteGroup, rows: Rows, elements: Iterable[int]) -> Iterator[tuple[int, int]]:
+    """Pairs (c, d), c from ``elements``, where c's row then d's is not (cd)'s."""
+    for c in elements:
+        for d in range(1, group.n):
+            if tuple(map(rows[d].__getitem__, rows[c])) != tuple(rows[group.mul(c, d)]):
+                yield c, d
 
 
 def _checked(g: CoverGraph) -> CoverGraph:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .config import RunConfig, json_int, json_list, sub_seed
 from .covergraph import (
@@ -252,11 +252,22 @@ def _finite_candidates(group: FiniteGroup):
 
 
 def _modulus_candidates(bound: int):
+    """Reductions mod 2, 3, ..., ``bound``, each without its Z/m table:
+    feasibility reads only images and orders, and ``_with_table`` builds the
+    table for a modulus that a pair or a certificate uses."""
     for modulus in range(2, bound + 1):
-        yield FactorHom(kind="infinite_cyclic", target=cyclic_group(modulus), modulus=modulus)
+        yield FactorHom(kind="infinite_cyclic", target=None, modulus=modulus)
+
+
+def _with_table(hom: FactorHom) -> FactorHom:
+    if hom.target is not None:
+        return hom
+    return replace(hom, target=cyclic_group(hom.modulus))
 
 
 def _hom_order(hom: FactorHom, value: int) -> int:
+    if hom.kind == "infinite_cyclic":
+        return hom.modulus // math.gcd(value, hom.modulus)
     return element_order(hom.target, hom.apply(value))
 
 
@@ -376,8 +387,6 @@ def reduce_factors(
     ]
 
     def try_pair(h0: FactorHom, h1: FactorHom):
-        rfactors = finite_factors(h0.target, h1.target)
-        homs = (h0, h1)
         # (c): cross-factor distinctness of factor-target image orders
         orders_alpha = [
             _hom_order(h0, reduced[i].syllables[0][1] if len(reduced[i]) else 0)
@@ -390,6 +399,8 @@ def reduce_factors(
             return None
         if set(orders_alpha) & set(orders_beta):
             return None
+        homs = (_with_table(h0), _with_table(h1))
+        rfactors = finite_factors(homs[0].target, homs[1].target)
         mapped = [map_word(w, homs, rfactors) for w in reduced]
         # (d): hyperbolic shape and pairwise non-conjugacy preserved; only two
         # hyperbolic images can be conjugate, as factor-target images have
@@ -605,16 +616,25 @@ def _small_action(mapped: list[NormalForm], rfactors: Factors, config: RunConfig
 
     Each draw is scored by the fiber evaluator from the targets' return
     letters, computed once per call; only its ``build()`` makes the graph,
-    whose word orders must match the scores."""
+    whose word orders must match the scores.
+
+    A draw repeated within the call is read from the random stream and
+    skipped.  The repair loop keeps the first accepted candidate, so a
+    repeat is read only after its original was rejected, and with the same
+    scores it would be rejected too: skipping it changes no outcome."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
     returns = [fiber_returns(ga, gb, w) for w in mapped]
     rng = random.Random(seed)
+    drawn: set[tuple[int, tuple[tuple[int, ...], ...]]] = set()
     for y in SMALL_FIBERS:
         if ga.n * gb.n * y > config.max_vertices:
             break
         for _draw in range(SMALL_DRAWS):
-            maps = [tuple(rng.sample(range(y), y)) for _ in range(rank)]
+            maps = tuple(tuple(rng.sample(range(y), y)) for _ in range(rank))
+            if (y, maps) in drawn:
+                continue
+            drawn.add((y, maps))
             inverse_maps = [tuple(sorted(range(y), key=p.__getitem__)) for p in maps]
             scores = [fiber_order(r, maps, inverse_maps, y) for r in returns]
             note = f"small action on fiber {y}"
@@ -738,6 +758,7 @@ def _two_on_one_side(
 
     def certificate(hom: FactorHom, other_hom: FactorHom, case: str) -> Certificate:
         transcript.append({"stage": "case", "value": case})
+        hom, other_hom = _with_table(hom), _with_table(other_hom)
         homs = (hom, other_hom) if s == 0 else (other_hom, hom)
         rfactors = finite_factors(homs[0].target, homs[1].target)
         mapped = [map_word(t, homs, rfactors) for t in reduced]

@@ -58,7 +58,17 @@ def _mul_table_ok(table: list[list[int]]) -> str | None:
             return f"column {j} not a permutation"
     if any(table[0][i] != i or table[i][0] != i for i in range(n)):
         return "identity is not element 0"
-    # row by row: (a*b)*c over all c against a*(b*c); a or b = 0 holds
+    # Light's test (Clifford and Preston, *The Algebraic Theory of
+    # Semigroups*, vol. 1, 1961): the g with (x*g)*y = x*(g*y) for all x, y
+    # are closed under products, so the generators cover every element
+    if all(
+        table[row_x[g]] == [row_x[y] for y in table[g]]
+        for g in _generating_sequence(table)
+        for row_x in table
+    ):
+        return None
+    # name the first failing triple, row by row: (a*b)*c over all c
+    # against a*(b*c); a or b = 0 holds
     for a in range(1, n):
         row_a = table[a]
         for b in range(1, n):
@@ -101,6 +111,15 @@ def _hom_ok(hom: dict, source: dict) -> str | None:
             return "modulus does not match target size"
         return None
     return f"unknown hom kind {kind!r}"
+
+
+def _is_factor_element(f, v, homs: list[dict]) -> bool:
+    """Whether (f, v) names an element of factor f: f is the int 0 or 1 and
+    v an int, in range for a finite factor (whose checked hom maps each
+    element).  ``bool`` is a subclass of int, so types are compared."""
+    if type(f) is not int or f not in (0, 1) or type(v) is not int:
+        return False
+    return homs[f]["kind"] != "finite" or 0 <= v < len(homs[f]["map"])
 
 
 def _map_syllables(word: list[tuple[int, int]], homs: list[dict]) -> list[tuple[int, int]]:
@@ -153,7 +172,29 @@ def _column_error(column: list, identity: list, f: int, c: int) -> str | None:
     return None
 
 
-def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
+def _law_failures(columns: list, table: list[list[int]], identity: list, elements) -> list:
+    """Pairs (c, d), c from ``elements``, where c's column then d's is not
+    (cd)'s; column c-1 holds element c's action."""
+    return [
+        (c, d)
+        for c in elements
+        for d in range(1, len(table))
+        if list(map(columns[d - 1].__getitem__, columns[c - 1]))
+        != (identity if table[c][d] == 0 else columns[table[c][d] - 1])
+    ]
+
+
+def _graph_ok(
+    graph: dict, hom_tables: list[list[list[int]]], gens: list[list[int]] | None = None
+) -> str | None:
+    """First failure of a component graph over the hom tables, or None.
+
+    ``gens`` holds a generating sequence per factor table (computed when not
+    given).  The composition law is checked for generators c and every d:
+    the tables are associative, so the law for a and for g gives it for ag
+    (Light's argument, as in ``_mul_table_ok``).  Only a failure checks every
+    pair, to name the first.
+    """
     if not isinstance(graph, dict):
         return "missing graph"
     vcount = graph.get("vcount")
@@ -163,6 +204,8 @@ def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
     # the hom tables hold ints only, but 1 == 1.0 == True
     if tables != hom_tables or not all(type(x) is int for t in tables for row in t for x in row):
         return "graph factors disagree with the factor homomorphisms"
+    if gens is None:
+        gens = [_generating_sequence(table) for table in tables]
     action = graph.get("action")
     if not isinstance(action, list) or len(action) != 2:
         return "bad action shape"
@@ -188,14 +231,9 @@ def _graph_ok(graph: dict, hom_tables: list[list[list[int]]]) -> str | None:
                 return err
         if wide is not None:
             return f"action[{f}][{wide}] wrong width"
-        # composition law, one column pair at a time
-        for c in range(1, n):
-            col_c = columns[c - 1]
-            for d in range(1, n):
-                e = tables[f][c][d]
-                via = list(map(columns[d - 1].__getitem__, col_c))
-                if via != (identity if e == 0 else columns[e - 1]):
-                    return f"group law fails for factor {f} at ({c},{d})"
+        if _law_failures(columns, tables[f], identity, gens[f]):
+            c, d = _law_failures(columns, tables[f], identity, range(1, n))[0]
+            return f"group law fails for factor {f} at ({c},{d})"
     return None
 
 
@@ -247,9 +285,7 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
 
     try:
         factors = instance_data["factors"]
-        raw_targets = [
-            [(int(f), int(v)) for f, v in word] for word in instance_data["targets"]
-        ]
+        raw_targets = [[(f, v) for f, v in word] for word in instance_data["targets"]]
         homs = cert_data["factor_homs"]
         components = cert_data["components"]
         claimed = {int(k): v for k, v in cert_data["orders"].items()}
@@ -269,7 +305,13 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
             return fail(f"factor hom {f}: {err}")
     report.checks.append("factor homomorphisms are valid")
 
+    for i, word in enumerate(raw_targets):
+        for f, v in word:
+            if not _is_factor_element(f, v, homs):
+                return fail(f"target {i}: syllable {[f, v]!r} is not a factor element")
+
     hom_tables = [hom["target_table"] for hom in homs]
+    hom_gens = [_generating_sequence(table) for table in hom_tables]
     mapped = [
         _reduce(_map_syllables(word, homs), hom_tables) for word in raw_targets
     ]
@@ -278,7 +320,7 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
     for n, comp in enumerate(components):
         if comp.get("type") != "graph":
             return fail(f"component {n}: unknown type {comp.get('type')!r}")
-        err = _graph_ok(comp.get("graph"), hom_tables)
+        err = _graph_ok(comp.get("graph"), hom_tables, hom_gens)
         if err:
             return fail(f"component {n}: {err}")
         graph_components.append(comp["graph"])
@@ -343,22 +385,25 @@ class OracleResult:
 
 
 def _generating_sequence(table: list[list[int]]) -> list[int]:
-    n = len(table)
+    """Greedy generators: the least element not yet reached joins, and a walk
+    by right multiplication from everything reached so far adds the
+    products.  Every element is then a product of the generators; in a group
+    they are the same ones a two-sided closure would pick."""
     gens: list[int] = []
-    closure = {0}
-    while len(closure) < n:
-        g = min(x for x in range(n) if x not in closure)
+    reached = [True] + [False] * (len(table) - 1)
+    walk = [0]
+    for g in range(1, len(table)):
+        if reached[g]:
+            continue
         gens.append(g)
-        frontier = [g]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in list(closure) + [x]:
-                    for z in (table[x][y], table[y][x]):
-                        if z not in closure:
-                            closure.add(z)
-                            nxt.append(z)
-            frontier = nxt
+        reached[g] = True
+        walk.append(g)
+        for x in walk:  # the walk grows as it goes
+            for h in gens:
+                y = table[x][h]
+                if not reached[y]:
+                    reached[y] = True
+                    walk.append(y)
     return gens
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from ordersep.covergraph import CoverGraph, _require_hyperbolic, cycle_walks
+from ordersep.covergraph import CoverGraph, CoverReport, _require_hyperbolic, cycle_walks, induced_graph
 from ordersep.errors import BudgetExceeded
-from ordersep.groupcore import FiniteGroup, Permutation, validate_group
+from ordersep.groupcore import FiniteGroup, Permutation, cyclic_group, validate_group
 from ordersep.words import IDENTITY, Factors, NormalForm, invert, multiply
 
 WREATH_POINT_BOUND = 2 ** 16
@@ -151,6 +151,38 @@ def perm_group(*gens: tuple[int, ...]) -> FiniteGroup:
     return validate_group([[index[p.then(q)] for q in elements] for p in elements])
 
 
+def quaternion_table() -> list[list[int]]:
+    """The quaternion group Q8 by table."""
+    # element 2*u + s is (-1)^s times the unit u of (1, i, j, k)
+    units = {
+        (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
+        (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
+        (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
+    }
+
+    def mul(x, y):
+        (u, s), (v, t) = divmod(x, 2), divmod(y, 2)
+        w, sign = (v, 0) if u == 0 else ((u, 0) if v == 0 else units[(u, v)])
+        return 2 * w + (s + t + sign) % 2
+
+    return [[mul(x, y) for y in range(8)] for x in range(8)]
+
+
+def two_generator_groups() -> dict[str, FiniteGroup]:
+    """Groups whose greedy generating sets have two elements, so a check on
+    the generators skips most elements."""
+    tables = bench_finite_tables()
+    q8 = quaternion_table()
+    swap = [0, 2, 1, 3, 4, 5, 6, 7]  # i relabelled 1 and -1 relabelled 2
+    return {
+        "S3": validate_group(tables["S3"]),
+        "D4": validate_group(tables["D4"]),
+        # with i first, the greedy set is {i, j}
+        "Q8": validate_group([[swap[q8[swap[x]][swap[y]]] for y in range(8)] for x in range(8)]),
+        "A4": perm_group((1, 2, 0, 3), (1, 0, 3, 2)),
+    }
+
+
 def bench_finite_tables() -> dict[str, list[list[int]]]:
     """The finite factor tables of the benchmark corpora."""
     path = Path(__file__).resolve().parents[1] / "bench" / "corpora.py"
@@ -191,6 +223,31 @@ def random_loop_table(n: int, rng: random.Random) -> list[list[int]]:
 
         if fill(0):
             return table
+
+
+def z500_loop() -> list[list[int]]:
+    """Z/500 with the intercalate at rows {1, 251} x columns {1, 251}
+    switched: a loop with two-sided inverses that is not a group, its first
+    failing triple (1,1,2) and the defect met by few random triples."""
+    table = [[(i + j) % 500 for j in range(500)] for i in range(500)]
+    for i in (1, 251):
+        for j in (1, 251):
+            table[i][j] = (i + j + 250) % 500
+    return table
+
+
+def z2_times_loop() -> list[list[int]]:
+    """Z/2 x L for a five-element loop L that is not a group, element 2l + g
+    standing for (g, l).  Its first greedy generator (1, e) associates with
+    every pair, so a check on that generator alone passes the table."""
+    loop = [
+        [0, 1, 2, 3, 4],
+        [1, 0, 3, 4, 2],
+        [2, 4, 0, 1, 3],
+        [3, 2, 4, 0, 1],
+        [4, 3, 1, 2, 0],
+    ]
+    return [[2 * loop[x // 2][y // 2] + (x + y) % 2 for y in range(10)] for x in range(10)]
 
 
 def first_non_associative_triple(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -238,3 +295,66 @@ def reference_graph_error(graph: dict, tables: list) -> str | None:
                     if via != direct:
                         return f"group law fails for factor {f} at ({c},{d})"
     return None
+
+
+def law_tampered_graph(group: FiniteGroup, rng: random.Random) -> CoverGraph:
+    """The action of group * Z/2 induced from a random fiber of one or two
+    points, with one or two tamperings of ``group``'s rows:
+
+    - a row copied from another nonidentity element's, or the rows of a
+      coset Ha of the subgroup H generated by the first generator g replaced
+      by those of Haz, for some z with Haz = Ha (the rows stay
+      fixed-point-free bijections, so only the composition law can fail,
+      and in the coset case it still holds for g);
+    - two entries of a row swapped.
+    """
+    y = rng.randrange(1, 3)
+    psi = [Permutation(y, tuple(rng.sample(range(y), y))) for _ in range(group.n - 1)]
+    g = induced_graph(group, cyclic_group(2), y, psi)
+    rows = [list(row) for row in g.acts[0]]
+    for _ in range(rng.randrange(1, 3)):
+        c = rng.randrange(1, group.n)
+        kind = rng.choice(["copy", "coset", "swap"])
+        if kind == "copy":
+            rows[c] = list(rows[rng.choice([e for e in range(1, group.n) if e != c])])
+        elif kind == "coset":
+            powers = [0]
+            while group.mul(powers[-1], group.gens[0]) != 0:
+                powers.append(group.mul(powers[-1], group.gens[0]))
+            a = rng.choice([x for x in group.elements() if x not in powers])
+            z = group.conjugate(a, rng.choice(powers[1:]))
+            before = [list(row) for row in rows]
+            for h in powers:
+                rows[group.mul(h, a)] = before[group.mul(group.mul(h, a), z)]
+        else:
+            v, w = rng.sample(range(g.vcount), 2)
+            rows[c][v], rows[c][w] = rows[c][w], rows[c][v]
+    return CoverGraph(g.factors, (tuple(map(tuple, rows)), g.acts[1]))
+
+
+def reference_cover_report(g: CoverGraph) -> CoverReport:
+    """The report ``validate_cover`` must give, with the composition law
+    checked for every pair of elements and vertex by vertex."""
+    vertices = list(range(g.vcount))
+    for f in (0, 1):
+        group, rows = g.factors[f], g.acts[f]
+        shape = tuple(len(row) for row in rows)
+        if shape != (g.vcount,) * group.n:
+            return CoverReport(False, "shape", (f, shape))
+        if list(rows[0]) != vertices:
+            return CoverReport(False, "identity action", (f,))
+        for c in range(1, group.n):
+            row = rows[c]
+            if any(x not in vertices for x in row):
+                return CoverReport(False, "property (1)", (f, c, "target out of range"))
+            if sorted(row) != vertices:
+                bad = next(v for v in vertices if list(row).count(v) != 1)
+                return CoverReport(False, "property (1)", (f, c, bad))
+            fixed = [v for v in vertices if row[v] == v]
+            if fixed:
+                return CoverReport(False, "freeness", (f, c, fixed[0]))
+        for c in range(1, group.n):
+            for d in range(1, group.n):
+                if any(rows[d][rows[c][v]] != rows[group.mul(c, d)][v] for v in vertices):
+                    return CoverReport(False, "group law", (f, c, d))
+    return CoverReport(True)

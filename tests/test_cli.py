@@ -5,11 +5,12 @@ import time
 import pytest
 
 from ordersep import cli, pipeline
-from ordersep.cli import _build_parser, run_cli
+from ordersep.cli import _build_parser, _parse_args, run_cli
 from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
+from ordersep.errors import ParseError
 from ordersep.groupcore import cyclic_group
 
-from helpers import TEN_TARGETS, z2z3_syllables
+from helpers import TEN_TARGETS, z2z3_syllables, z500_loop
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -193,8 +194,9 @@ class TestRepairBudget:
 
 class TestPromptExits:
     """Inputs outside the budgets exit at once: a finite factor with no
-    feasible quotient ends the factor-hom search (exit 2) and a Lemma 1 fiber
-    over ``max_vertices`` is refused before any draw (exit 3)."""
+    feasible quotient ends the factor-hom search (exit 2), a Lemma 1 fiber
+    over ``max_vertices`` is refused before any draw (exit 3), and a factor
+    table over 64 elements that is not a group is rejected on load (exit 2)."""
 
     KLEIN_Z = [
         {"type": "finite", "table": [[i ^ j for j in range(4)] for i in range(4)]},
@@ -209,6 +211,12 @@ class TestPromptExits:
         "klein-z-theorem12": (
             "separate",
             {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]]], "mode": "theorem12"},
+            2,
+        ),
+        "z500-loop": (
+            "separate",
+            {"factors": [{"type": "finite", "table": z500_loop()}, {"type": "finite", "table": Z3}],
+             "targets": [[[0, 1]], [[1, 1]], [[0, 1], [1, 1]]]},
             2,
         ),
         # the same-class repair boosts at p=101 on 101^3 fiber points
@@ -234,6 +242,48 @@ class TestPromptExits:
         start = time.monotonic()
         assert run_cli(argv) == code
         assert time.monotonic() - start < 1.0
+
+
+class TestOneLevelParse:
+    """``run_cli`` parses with the named subcommand's parser alone; it reads
+    every argument list as the two-level parser does, usage errors and help
+    included."""
+
+    ARGVS = [
+        ["separate", "i.json"],
+        ["--json", "separate", "i.json", "--seed", "3", "--mode", "theorem3"],
+        ["--json", "--json", "verify", "a.json", "b.json"],
+        ["separate", "i.json", "--json"],
+        ["separate"],
+        ["separate", "i.json", "--seed", "x"],
+        ["lemma2", "a.json", "--out", "o.json"],
+        ["graph", "dot", "f.json"],
+        ["graph", "bogus", "f.json"],
+        ["oracle", "i.json", "--max-degree", "3"],
+        [],
+        ["--json"],
+        ["frobnicate"],
+        ["--bogus", "separate", "i.json"],
+        ["--js", "separate", "i.json"],
+        ["-h"],
+        ["--json", "--help"],
+        ["separate", "-h"],
+    ]
+
+    @staticmethod
+    def reading(parse, argv, capsys):
+        try:
+            result = vars(parse(argv))
+        except ParseError as exc:
+            result = str(exc)
+        except SystemExit as exc:
+            result = exc.code
+        return result, capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_same_reading_as_two_levels(self, argv, capsys):
+        one = self.reading(_parse_args, argv, capsys)
+        assert one == self.reading(_build_parser().parse_args, argv, capsys)
 
 
 class TestIntegerInputs:

@@ -48,7 +48,13 @@ from ordersep.words import (
     rewrite,
 )
 
-from helpers import graphs_equal, x_cycles
+from helpers import (
+    graphs_equal,
+    law_tampered_graph,
+    reference_cover_report,
+    two_generator_groups,
+    x_cycles,
+)
 from test_words import random_word
 
 A = (0, 1)
@@ -167,6 +173,35 @@ class TestValidateCover:
         for _ in range(40):
             g = random_cover_graph(f23, rng)
             assert validate_cover(g).ok
+
+
+class TestGeneratorLaw:
+    """``validate_cover`` checks the composition law on each factor's
+    generators alone; over groups with two generators it still names the
+    first failing pair of a check over every pair."""
+
+    GROUPS = two_generator_groups()
+
+    @pytest.mark.parametrize("name", sorted(GROUPS))
+    def test_generating_sets_have_two_elements(self, name):
+        group = self.GROUPS[name]
+        assert len(group.gens) == 2 < group.n - 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(GROUPS)), st.integers(0, 2 ** 32))
+    def test_tampered_actions_match_the_reference(self, name, seed):
+        g = law_tampered_graph(self.GROUPS[name], random.Random(seed))
+        assert validate_cover(g) == reference_cover_report(g)
+
+    def test_tampering_mostly_breaks_the_law(self):
+        # so the property above mostly exercises the named law failure
+        rng = random.Random(3)
+        reasons = [
+            validate_cover(law_tampered_graph(group, rng)).reason
+            for group in self.GROUPS.values()
+            for _ in range(10)
+        ]
+        assert reasons.count("group law") >= 20
 
 
 class TestWordPermutation:

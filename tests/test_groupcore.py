@@ -24,8 +24,11 @@ from helpers import (
     first_non_associative_triple,
     mulclose,
     perm_group,
+    quaternion_table,
     random_loop_table,
     wreath_p_group,
+    z2_times_loop,
+    z500_loop,
 )
 
 
@@ -49,26 +52,10 @@ def brute_normal_subgroups(group):
     ]
 
 
-def _quaternion_table():
-    # element 2*u + s is (-1)^s times the unit u of (1, i, j, k)
-    units = {
-        (1, 1): (0, 1), (1, 2): (3, 0), (1, 3): (2, 1),
-        (2, 1): (3, 1), (2, 2): (0, 1), (2, 3): (1, 0),
-        (3, 1): (2, 0), (3, 2): (1, 1), (3, 3): (0, 1),
-    }
-
-    def mul(x, y):
-        (u, s), (v, t) = divmod(x, 2), divmod(y, 2)
-        w, sign = (v, 0) if u == 0 else ((u, 0) if v == 0 else units[(u, v)])
-        return 2 * w + (s + t + sign) % 2
-
-    return [[mul(x, y) for y in range(8)] for x in range(8)]
-
-
 def _extra_groups():
     z2z6 = [[((x // 6 + y // 6) % 2) * 6 + (x + y) % 6 for y in range(12)] for x in range(12)]
     return {
-        "Q8": validate_group(_quaternion_table()),
+        "Q8": validate_group(quaternion_table()),
         "A4": perm_group((1, 2, 0, 3), (1, 0, 3, 2)),
         "D6": perm_group((1, 2, 3, 4, 5, 0), (0, 5, 4, 3, 2, 1)),
         "Z2xZ6": validate_group(z2z6),
@@ -133,6 +120,18 @@ class TestTableWitnesses:
             validate_group(table)
             return
         with pytest.raises(NotAGroup, match=rf"associativity fails at \({triple[0]},{triple[1]},{triple[2]}\)$"):
+            validate_group(table)
+
+    def test_table_over_64_elements_is_checked_exactly(self):
+        table = z500_loop()
+        assert first_non_associative_triple(table) == (1, 1, 2)
+        with pytest.raises(NotAGroup, match=r"associativity fails at \(1,1,2\)$"):
+            validate_group(table)
+
+    def test_every_generator_is_checked(self):
+        table = z2_times_loop()
+        a, b, c = first_non_associative_triple(table)
+        with pytest.raises(NotAGroup, match=rf"associativity fails at \({a},{b},{c}\)$"):
             validate_group(table)
 
     def test_loops_are_mostly_not_groups(self):

@@ -15,6 +15,8 @@ factor-hom search ``_search_hom_pair`` has one user, ``reduce_factors``,
 so a second hom search cannot come back unnoticed; likewise only
 ``_finite_stage`` applies the repair acceptance rule and raises
 ``RepairBudgetExceeded``, and no function takes an acceptance callback.
+A modulus candidate builds no Z/m table, and associativity is never
+sampled.
 """
 
 import ast
@@ -171,3 +173,17 @@ def test_one_repair_acceptance_loop():
     )
     assert raises == [("pipeline.py", "_finite_stage")]
     assert not _sites(lambda node: isinstance(node, ast.arg) and node.arg == "accepts")
+
+
+def test_no_table_for_a_modulus_candidate():
+    # a modulus candidate holds m only; its Z/m table is built when a pair
+    # or a certificate uses it
+    constructors = {"cyclic_group", "validate_group", "FiniteGroup"}
+    calls = _sites(lambda node: isinstance(node, ast.Call) and _name(node.func) in constructors)
+    assert not [site for site in calls if site[1] == "_modulus_candidates"]
+    assert ("pipeline.py", "_with_table") in calls
+
+
+def test_associativity_is_checked_exactly():
+    # no size bound above which triples are sampled
+    assert not _sites(lambda node: (_name(node) or "").startswith("ASSOC_"))

@@ -153,6 +153,26 @@ class TestReduceFactors:
         assert cert.orders == {0: 129, 1: 2, 2: 258}
         assert verified(inst, cert).verdict
 
+    @pytest.mark.parametrize("mode", ["auto", "theorem12"])
+    def test_no_table_for_an_untried_modulus(self, zz5, monkeypatch, mode):
+        # a^-1 and a^-5 need a modulus giving them distinct orders other
+        # than 1, and 10 is the first; moduli 2..9 are rejected by their
+        # images' orders alone (auto takes the two-on-one-side route, whose
+        # retraction builds the trivial Z/1)
+        built = []
+        real = pipeline.cyclic_group
+
+        def counted(n):
+            built.append(n)
+            return real(n)
+
+        monkeypatch.setattr(pipeline, "cyclic_group", counted)
+        inst = Instance(zz5, [NormalForm(((0, -1),)), NormalForm(((1, 2),)), NormalForm(((0, -5),))], mode)
+        cert = separate(inst)
+        assert cert.factor_homs[0]["modulus"] == 10
+        assert [n for n in built if n > 1] == [10]
+        assert verified(inst, cert).verdict
+
     def test_gamma_syllables_survive(self, f23):
         inst = Instance(f23, [ABAB2])
         reduced = check_hypotheses(inst)
@@ -442,7 +462,25 @@ class TestSmallAction:
     def test_no_graph_while_draws_are_read(self, f23, graphs_built):
         draws = list(pipeline._small_action(self.mapped(f23), f23, RunConfig(), 0))
         assert graphs_built == []
-        assert len(draws) == len(pipeline.SMALL_FIBERS) * pipeline.SMALL_DRAWS
+        # one candidate per distinct draw of the 112: a repeat is skipped
+        assert len(draws) == 98
+
+    def test_fiber_two_scores_each_distinct_draw_once(self, f23, monkeypatch):
+        # over Z/2*Z/3 (Cartesian rank 2) fiber 2 has 4 distinct draws
+        scored = []
+        real = pipeline.fiber_order
+
+        def counted(returns, maps, inverse_maps, y):
+            if y == 2:
+                scored.append(maps)
+            return real(returns, maps, inverse_maps, y)
+
+        monkeypatch.setattr(pipeline, "fiber_order", counted)
+        mapped = self.mapped(f23)
+        list(pipeline._small_action(mapped, f23, RunConfig(), 0))
+        draws = scored[:: len(mapped)]
+        assert len(scored) == len(mapped) * len(draws) and len(draws) <= 4
+        assert len(set(draws)) == len(draws)
 
     def test_one_graph_per_build(self, f23, graphs_built):
         # each build() makes its own draw's graph, even once later draws are read

@@ -8,10 +8,24 @@ from ordersep.covergraph import graph_to_json, synchronized_product
 from ordersep.errors import HypothesisViolation, InfiniteFactor
 from ordersep.groupcore import cyclic_group
 from ordersep.pipeline import Instance, instance_to_json, separate
-from ordersep.verify import _graph_ok, _mul_table_ok, brute_force_search, verify_certificate
+from ordersep.verify import (
+    _generating_sequence,
+    _graph_ok,
+    _mul_table_ok,
+    brute_force_search,
+    verify_certificate,
+)
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors
 
-from helpers import first_non_associative_triple, random_loop_table, reference_graph_error
+from helpers import (
+    first_non_associative_triple,
+    law_tampered_graph,
+    random_loop_table,
+    reference_graph_error,
+    two_generator_groups,
+    z2_times_loop,
+    z500_loop,
+)
 
 A = (0, 1)
 B = (1, 1)
@@ -200,6 +214,16 @@ class TestVerifierMessages:
         assert _mul_table_ok(table) == expected
 
 
+    def test_table_over_64_elements_is_checked_exactly(self):
+        assert _mul_table_ok(z500_loop()) == "associativity fails at (1,1,2)"
+
+    def test_every_generator_is_checked(self):
+        table = z2_times_loop()
+        assert _generating_sequence(table)[0] == 1
+        triple = first_non_associative_triple(table)
+        assert _mul_table_ok(table) == "associativity fails at ({},{},{})".format(*triple)
+
+
 def _engine_certificates():
     f23 = finite_factors(cyclic_group(2), cyclic_group(3))
     f34 = finite_factors(cyclic_group(3), cyclic_group(4))
@@ -262,6 +286,24 @@ class TestTamperedActions:
             elif row:
                 row[data.draw(st.integers(0, len(row) - 1))] = data.draw(st.integers(-1, graph["vcount"]))
         assert _graph_ok(graph, graph["factors"]) == reference_graph_error(graph, graph["factors"])
+
+
+class TestGeneratorLaw:
+    """The graph check tests the composition law on generators of each factor
+    table; over groups with two generators it names the failure the
+    element-by-element reference meets first."""
+
+    GROUPS = two_generator_groups()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(sorted(GROUPS)), st.integers(0, 2 ** 32))
+    def test_tampered_actions_match_the_reference(self, name, seed):
+        graph = graph_to_json(law_tampered_graph(self.GROUPS[name], random.Random(seed)))
+        tables = graph["factors"]
+        gens = [_generating_sequence(table) for table in tables]
+        assert len(gens[0]) == 2
+        expected = reference_graph_error(graph, tables)
+        assert _graph_ok(graph, tables, gens) == _graph_ok(graph, tables) == expected
 
 
 def _zxz3_certificate():
@@ -372,3 +414,52 @@ class TestOracle:
         r1 = brute_force_search(instance_to_json(inst), max_degree=6)
         r2 = brute_force_search(instance_to_json(inst), max_degree=6)
         assert r1.images == r2.images and r1.degree == r2.degree
+
+
+class TestInstanceSyllables:
+    """The verifier checks instance syllables itself: a factor index is the
+    int 0 or 1, a finite factor's value an int in its range and an infinite
+    cyclic factor's value any int.  ``int()`` would read each bad syllable
+    below as a letter of the certified targets ab and b."""
+
+    @staticmethod
+    def certificate():
+        inst = Instance(finite_factors(cyclic_group(2), cyclic_group(3)), [AB, NormalForm((B,))])
+        return instance_to_json(inst), make_cert(inst)
+
+    @pytest.mark.parametrize(
+        "target, syllable",
+        [
+            (0, [0, 1.9]),
+            (1, [1, "1"]),
+            (0, [0, True]),
+            (0, [0, -1]),  # map[-1]
+            (1, [-1, 1]),  # homs[-1]
+            (1, [True, 1]),
+            (1, [2, 1]),
+            (1, [1, 3]),
+            (0, [1.0, 1]),
+        ],
+    )
+    def test_bad_syllable_names_its_target(self, target, syllable):
+        inst, cert = self.certificate()
+        assert verify_certificate(inst, cert).verdict
+        inst["targets"][target][0] = syllable
+        report = verify_certificate(inst, cert)
+        assert report.failures == [f"target {target}: syllable {syllable!r} is not a factor element"]
+
+    @pytest.mark.parametrize("value", [-1, 3, -(10 ** 30) + 1])
+    def test_infinite_cyclic_value_is_any_int(self, value):
+        # modulo 2 each value maps where a does
+        inst, cert = _zxz3_certificate()
+        assert cert["factor_homs"][0]["modulus"] == 2
+        inst["targets"][0][0] = [0, value]
+        assert verify_certificate(inst, cert).verdict
+
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_infinite_cyclic_value_is_an_int(self, value):
+        inst, cert = _zxz3_certificate()
+        inst["targets"][0][0] = [0, value]
+        assert verify_certificate(inst, cert).failures == [
+            f"target 0: syllable {[0, value]!r} is not a factor element"
+        ]
