@@ -60,7 +60,7 @@ from .words import (
 )
 
 MODULUS_BOUND = 10 ** 6  # largest modulus tried for an infinite cyclic factor
-SMALL_FIBERS = range(2, 9)  # fiber sizes of the small-action repair candidate
+SMALL_FIBERS = range(2, 13)  # fiber sizes of the repair rounds' small-action pool
 SMALL_DRAWS = 16  # random fiber assignments per size
 
 
@@ -495,40 +495,59 @@ def _finite_stage(
     transcript: list[dict],
 ) -> tuple[list[Component], dict[int, int]]:
     """Separate the mapped targets over finite factors: start from the factor
-    product action and add lemma components only for pairs whose orders
-    collide, one pair per repair round.
+    product action and, while orders collide, add one candidate's components
+    per repair round.
 
-    A round reads the least colliding pair's candidates from
-    ``_repair_pair`` and keeps the first that gives the pair distinct orders
-    and leaves colliding only pairs that collided before; only then are its
-    components built.  The colliding set so shrinks every round, and at most
-    C(n, 2) rounds run.  A round whose candidates run out raises
-    ``RepairBudgetExceeded`` naming its stage and pair.
+    A round first reads one pool of small-action draws, scored once per call
+    and re-read by later rounds, and keeps the draw whose colliding set is a
+    strict subset of the current one and smallest (the earliest on a tie),
+    stopping at a draw that leaves none.  Only when no draw qualifies does it
+    read the least colliding pair's lemma candidates from ``_repair_pair``
+    and keep the first that parts the pair and merges no other.  Either way
+    the colliding set shrinks every round, so at most C(n, 2) rounds run; a
+    round's entry names the stage and the least pair its components part.  A
+    round with no candidate raises ``RepairBudgetExceeded`` naming its stage
+    and pair.
     """
     base = cayley_base(*rfactors.groups(), max_vertices=config.max_vertices)
     components = [Component(base, None, "factor product action")]
     classes = hyperbolic_classes(classify_targets(mapped)[2], mapped, rfactors)
     root_of = {i: n for n, cls in enumerate(classes) for i, _k, _l in cls.members}
     orders = {n: word_order(base, w) for n, w in enumerate(mapped)}
+    pool = _Replay(_small_action(mapped, rfactors, config, sub_seed(seed, "repair", 0)))
     round_no = 0
     while colliding := _colliding(orders):
-        i, j = min(colliding)
-        stage = _pair_stage(i, j, root_of)
-        candidates = _repair_pair(
-            stage, i, j, mapped, classes, root_of, components, orders, rfactors, config,
-            sub_seed(seed, "repair", round_no),
-        )
-        for scores, build, entry in candidates:
+        best = None
+        for scores, build, entry in pool:
             new = {n: math.lcm(o, scores[n]) for n, o in orders.items()}
-            if new[i] != new[j] and _colliding(new) <= colliding:
-                break
-        else:
-            raise RepairBudgetExceeded(
-                f"{stage}: no candidate parts pair {(i, j)} without merging another"
+            left = _colliding(new)
+            if left < colliding and (best is None or len(left) < len(best[1])):
+                best = new, left, build, entry
+                if not left:
+                    break
+        if best is None:
+            i, j = min(colliding)
+            stage = _pair_stage(i, j, root_of)
+            candidates = _repair_pair(
+                stage, i, j, mapped, classes, root_of, components, orders, rfactors, config,
+                sub_seed(seed, "repair", round_no),
             )
+            for scores, build, entry in candidates:
+                new = {n: math.lcm(o, scores[n]) for n, o in orders.items()}
+                left = _colliding(new)
+                if (i, j) not in left and left <= colliding:
+                    best = new, left, build, entry
+                    break
+            else:
+                raise RepairBudgetExceeded(
+                    f"{stage}: no candidate parts pair {(i, j)} without merging another"
+                )
+        orders, left, build, entry = best
+        if not left < colliding:
+            raise InternalError(f"repair round {round_no} did not shrink the colliding set")
+        i, j = min(colliding - left)
         components.extend(build())
-        transcript.append({"stage": stage, "pair": [i, j], **entry})
-        orders = new
+        transcript.append({"stage": _pair_stage(i, j, root_of), "pair": [i, j], **entry})
         round_no += 1
     return components, orders
 
@@ -558,12 +577,13 @@ def _repair_pair(
     root_of: dict[int, int], components: list[Component], orders: dict[int, int],
     rfactors: Factors, config: RunConfig, seed: int,
 ):
-    """The repair candidates for the colliding pair (i, j), lazily, in a
-    fixed order per stage:
+    """The lemma candidates for the colliding pair (i, j), lazily, in a fixed
+    order per stage; a round reads them only when no small-action draw of its
+    pool shrinks the colliding set:
 
     - same class: a Lemma 1 boost of the class root at each prime where the
-      two members' valuation profiles differ, ascending, then small actions;
-    - two classes: small actions, then Lemma 3 on the two roots;
+      two members' valuation profiles differ, ascending;
+    - two classes: Lemma 3 on the two roots;
     - a hyperbolic target against a factor element: a Lemma 1 boost at a
       prime dividing no current order.
 
@@ -589,9 +609,7 @@ def _repair_pair(
             ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
             comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
             yield _built([comp], mapped, {"prime": p})
-        yield from _small_action(mapped, rfactors, config, seed)
     elif stage == "repair-cross-class":
-        yield from _small_action(mapped, rfactors, config, seed)
         res = lemma3_separate(
             [classes[root_of[i]].root, classes[root_of[j]].root], used, rfactors,
             seed=seed, config=config,
@@ -608,20 +626,22 @@ def _repair_pair(
 
 
 def _small_action(mapped: list[NormalForm], rfactors: Factors, config: RunConfig, seed: int):
-    """Repair candidates induced from random fiber permutations on 2, 3, ...
-    points, one per draw.  Lemma 1's wreath p-groups give two hyperbolic
-    roots the same order almost surely, and the Lemma 2 surgery inside
-    Lemma 3 can grow without bound; a small symmetric fiber usually tells
-    two targets apart.
+    """The repair rounds' pool: actions induced from random fiber
+    permutations on ``SMALL_FIBERS`` points, ``SMALL_DRAWS`` per size and
+    one candidate per draw, up to the fiber that ``max_vertices`` admits.
+    Lemma 1's wreath p-groups give two hyperbolic roots the same order almost
+    surely, and the Lemma 2 surgery inside Lemma 3 can grow without bound;
+    one small symmetric fiber usually spreads every target at once.
 
     Each draw is scored by the fiber evaluator from the targets' return
     letters, computed once per call; only its ``build()`` makes the graph,
     whose word orders must match the scores.
 
     A draw repeated within the call is read from the random stream and
-    skipped.  The repair loop keeps the first accepted candidate, so a
-    repeat is read only after its original was rejected, and with the same
-    scores it would be rejected too: skipping it changes no outcome."""
+    skipped.  A round keeps the earliest draw of smallest colliding set and
+    stops at the first that leaves none; a repeat has its original's scores
+    and comes after it, so in no round can it be kept or stop the read
+    first: skipping it changes no outcome."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
     returns = [fiber_returns(ga, gb, w) for w in mapped]

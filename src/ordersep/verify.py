@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import BudgetExceeded, HypothesisViolation, InfiniteFactor
+from .errors import BadSyllable, BudgetExceeded, HypothesisViolation, InfiniteFactor
 
 OracleImages = tuple[tuple[int, ...], ...]
 
@@ -43,30 +43,33 @@ class VerifyReport:
         }
 
 
-def _mul_table_ok(table: list[list[int]]) -> str | None:
+def _mul_table_ok(table: list[list[int]]) -> tuple[str | None, list[int]]:
+    """The first failure of a group table, or None, with the table's
+    generating sequence (empty when the table fails before it is read)."""
     n = len(table)
     full = list(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
-            return f"row {i} wrong length"
+            return f"row {i} wrong length", []
         if sorted(row) != full:
-            return f"row {i} not a permutation"
+            return f"row {i} not a permutation", []
     if not all(type(x) is int for row in table for x in row):  # 1 == 1.0 == True
-        return "entry not an integer"
+        return "entry not an integer", []
     for j, column in enumerate(zip(*table)):
         if sorted(column) != full:
-            return f"column {j} not a permutation"
+            return f"column {j} not a permutation", []
     if any(table[0][i] != i or table[i][0] != i for i in range(n)):
-        return "identity is not element 0"
+        return "identity is not element 0", []
     # Light's test (Clifford and Preston, *The Algebraic Theory of
     # Semigroups*, vol. 1, 1961): the g with (x*g)*y = x*(g*y) for all x, y
     # are closed under products, so the generators cover every element
+    gens = _generating_sequence(table)
     if all(
         table[row_x[g]] == [row_x[y] for y in table[g]]
-        for g in _generating_sequence(table)
+        for g in gens
         for row_x in table
     ):
-        return None
+        return None, gens
     # name the first failing triple, row by row: (a*b)*c over all c
     # against a*(b*c); a or b = 0 holds
     for a in range(1, n):
@@ -75,17 +78,24 @@ def _mul_table_ok(table: list[list[int]]) -> str | None:
             row_ab, row_b = table[row_a[b]], table[b]
             if row_ab != [row_a[x] for x in row_b]:
                 c = next(c for c in range(n) if row_ab[c] != row_a[row_b[c]])
-                return f"associativity fails at ({a},{b},{c})"
-    return None
+                return f"associativity fails at ({a},{b},{c})", gens
+    return None, gens
 
 
-def _hom_ok(hom: dict, source: dict) -> str | None:
+def _hom_ok(hom: dict, source: dict) -> tuple[str | None, list[int]]:
+    """The first failure of a factor hom, or None, with its target table's
+    generating sequence."""
     table = hom.get("target_table")
     if not isinstance(table, list):
-        return "missing target table"
-    err = _mul_table_ok(table)
+        return "missing target table", []
+    err, gens = _mul_table_ok(table)
     if err:
-        return f"target not a group: {err}"
+        return f"target not a group: {err}", gens
+    return _hom_map_error(hom, source, table), gens
+
+
+def _hom_map_error(hom: dict, source: dict, table: list[list[int]]) -> str | None:
+    """The first failure of a hom's map onto a checked target table."""
     kind = hom.get("kind")
     if kind == "finite":
         if source.get("type") != "finite":
@@ -113,13 +123,14 @@ def _hom_ok(hom: dict, source: dict) -> str | None:
     return f"unknown hom kind {kind!r}"
 
 
-def _is_factor_element(f, v, homs: list[dict]) -> bool:
+def _is_factor_element(f, v, sizes: list[int | None]) -> bool:
     """Whether (f, v) names an element of factor f: f is the int 0 or 1 and
-    v an int, in range for a finite factor (whose checked hom maps each
-    element).  ``bool`` is a subclass of int, so types are compared."""
+    v an int, in range for a finite factor of ``sizes[f]`` elements (None
+    for an infinite cyclic factor).  ``bool`` is a subclass of int, so
+    types are compared."""
     if type(f) is not int or f not in (0, 1) or type(v) is not int:
         return False
-    return homs[f]["kind"] != "finite" or 0 <= v < len(homs[f]["map"])
+    return sizes[f] is None or 0 <= v < sizes[f]
 
 
 def _map_syllables(word: list[tuple[int, int]], homs: list[dict]) -> list[tuple[int, int]]:
@@ -299,19 +310,22 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
 
     if len(homs) != 2:
         return fail("need exactly two factor homomorphisms")
+    hom_gens = []
     for f, hom in enumerate(homs):
-        err = _hom_ok(hom, factors[f])
+        err, gens = _hom_ok(hom, factors[f])
         if err:
             return fail(f"factor hom {f}: {err}")
+        hom_gens.append(gens)
     report.checks.append("factor homomorphisms are valid")
 
+    # a checked finite hom maps each element of its source
+    sizes = [len(hom["map"]) if hom["kind"] == "finite" else None for hom in homs]
     for i, word in enumerate(raw_targets):
         for f, v in word:
-            if not _is_factor_element(f, v, homs):
+            if not _is_factor_element(f, v, sizes):
                 return fail(f"target {i}: syllable {[f, v]!r} is not a factor element")
 
     hom_tables = [hom["target_table"] for hom in homs]
-    hom_gens = [_generating_sequence(table) for table in hom_tables]
     mapped = [
         _reduce(_map_syllables(word, homs), hom_tables) for word in raw_targets
     ]
@@ -505,17 +519,23 @@ def brute_force_search(
     Assignments are enumerated generator by generator, deduplicated up to
     simultaneous conjugation (class representatives for the first generator,
     minimum under the running centralizer for the rest).  The first hit in
-    this deterministic order is returned.
+    this deterministic order is returned.  A target syllable that is not a
+    factor element, by the verifier's rule, raises ``BadSyllable``.
     """
     if max_degree > 12:
         raise HypothesisViolation("oracle degree capped at 12")
     factors = instance_data["factors"]
     if any(f.get("type") != "finite" for f in factors):
         raise InfiniteFactor("oracle requires finite factors")
-    targets = [[(int(f), int(v)) for f, v in w] for w in instance_data["targets"]]
+    targets = [[(f, v) for f, v in w] for w in instance_data["targets"]]
     if len(targets) > 3:
         raise HypothesisViolation("oracle supports at most 3 targets")
     tables = [f["table"] for f in factors]
+    sizes = [len(table) for table in tables]
+    for i, word in enumerate(targets):
+        for f, v in word:
+            if not _is_factor_element(f, v, sizes):
+                raise BadSyllable(f"target {i}: syllable {[f, v]!r} is not a factor element")
     gen_lists = [_generating_sequence(t) for t in tables]
     words = [_element_words(t, g) for t, g in zip(tables, gen_lists)]
     orders = [

@@ -41,6 +41,21 @@ TEN_TARGETS = {
         "abababaBaBabaBab aBabaB abaBaBababaBabaB aBaBababaBaBaBab",
 }
 
+# two sets the per-pair repair route did not finish: on it, each ran for
+# more than 10 s without a certificate.  Sixteen Z/2*Z/3 targets alternating
+# a and b^(+-1), 2-20 syllables each, drawn with random.Random(0); six Z*Z
+# targets of 2-8 syllables a^e b^f, e and f in {+-1, +-2}, drawn with
+# random.Random(6) (both redrawn on a conjugate pair up to inversion)
+SIXTEEN_TARGETS = (
+    "aBabaBaBaBaBaB ababaBababaB abaBababaBaBabaBaB abaBaBaBabab aBab "
+    "aBaBabaBabababababaB aBabaBaBabaBabaBaB aBaB abaBababababaBaBabab ababab "
+    "aBaBababaBaBaBaBaB aBabababaBababaB aBaBab ab abaBabaB ababaBab"
+)
+SIX_FREE_TARGETS = [
+    "a-2 b2", "a b-1", "a2 b2 a b2 a-2 b-1 a-2 b", "a2 b a-2 b2", "a-2 b a-1 b2 a b",
+    "a2 b-2 a-1 b",
+]
+
 
 def z2z3_syllables(text: str) -> list[tuple[int, int]]:
     """Syllables of a Z/2*Z/3 word written with a = (0,1), b = (1,1), B = (1,2)."""

@@ -100,15 +100,16 @@ class TestSeparate:
 
 class TestParserReuse:
     def test_reused_parser_matches_fresh_one(self, tmp_path, capsys):
-        # b and (ab)^2 collide on the base action; the repair's Lemma 1
-        # component depends on the seed and needs more than 50 vertices
+        # b and (ab)^2 collide on the base action; the repair pool parts them
+        # with a seeded small action on 18 vertices, and below that budget
+        # the fallback Lemma 1 boost needs a 30-vertex fiber
         vs_factor = [[[1, 1]], [[0, 1], [1, 1], [0, 1], [1, 1]]]
         inst = write(tmp_path, "inst.json", instance_z2z3(vs_factor, config={"lemma1_attempts": 200}))
         calls = [
             ["separate", inst, "--seed", "7"],
             ["separate", inst],
             ["separate", inst, "--seed", "x", "--max-vertices", "3"],
-            ["--json", "separate", inst, "--max-vertices", "50"],
+            ["--json", "separate", inst, "--max-vertices", "17"],
         ]
 
         def run(argv, out):
@@ -124,7 +125,9 @@ class TestParserReuse:
         assert reused == fresh
         assert [code for code, _cert, _err in reused] == [0, 0, 5, 3]
         assert reused[0][1] != reused[1][1]  # a leaked --seed would show
-        assert json.loads(reused[3][2])["error"] == "SearchBudgetExceeded"
+        assert json.loads(reused[3][2]) == {
+            "error": "BudgetExceeded", "detail": "30 vertices over budget 17"
+        }
 
 
 class TestVerifyCommand:

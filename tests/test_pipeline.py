@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersep import pipeline
 from ordersep.config import RunConfig
@@ -35,7 +36,13 @@ from ordersep.pipeline import (
 from ordersep.verify import brute_force_search, verify_certificate
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors, normalize, power
 
-from helpers import TEN_TARGETS, power_syllables, z2z3_syllables
+from helpers import (
+    SIX_FREE_TARGETS,
+    SIXTEEN_TARGETS,
+    TEN_TARGETS,
+    power_syllables,
+    z2z3_syllables,
+)
 
 A = (0, 1)
 B = (1, 1)
@@ -462,8 +469,9 @@ class TestSmallAction:
     def test_no_graph_while_draws_are_read(self, f23, graphs_built):
         draws = list(pipeline._small_action(self.mapped(f23), f23, RunConfig(), 0))
         assert graphs_built == []
-        # one candidate per distinct draw of the 112: a repeat is skipped
-        assert len(draws) == 98
+        # one candidate per distinct draw of the 176 (fibers 2..12, 16 each):
+        # a repeat is skipped
+        assert len(draws) == 162
 
     def test_fiber_two_scores_each_distinct_draw_once(self, f23, monkeypatch):
         # over Z/2*Z/3 (Cartesian rank 2) fiber 2 has 4 distinct draws
@@ -501,8 +509,9 @@ class TestSmallAction:
 
 
 class TestRepairAcceptance:
-    """A repair round keeps a candidate only if it parts its pair and merges
-    no other pair."""
+    """A repair round keeps a pooled draw only if it shrinks the colliding
+    set, and a lemma candidate only if it parts its pair and merges no other
+    pair."""
 
     @staticmethod
     def ten_targets(factors, seed):
@@ -534,6 +543,167 @@ class TestRepairAcceptance:
         data["config"] = {"max_repairs": 5}
         with pytest.raises(ParseError):
             parse_instance(data)
+
+
+class _Lemma3Called(Exception):
+    pass
+
+
+def _refuse_lemma3(*args, **kwargs):
+    raise _Lemma3Called
+
+
+def _colliding_pairs(orders: list[int]) -> set[tuple[int, int]]:
+    return {(i, j) for i, j in itertools.combinations(range(len(orders)), 2) if orders[i] == orders[j]}
+
+
+Z2Z3_WORDS = st.one_of(
+    st.sampled_from(["a", "b"]),
+    st.lists(st.sampled_from(["ab", "aB"]), min_size=1, max_size=5).map("".join),
+)
+
+
+class TestPooledRepair:
+    """Repair rounds read one scored pool of small actions before any lemma.
+    With it, target sets that the per-pair route did not finish certify with
+    no Lemma 3 call."""
+
+    def test_sixteen_targets(self, f23, monkeypatch):
+        monkeypatch.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
+        words = [normalize(z2z3_syllables(t), f23) for t in SIXTEEN_TARGETS.split()]
+        inst = Instance(f23, words, "theorem12")
+        cert = separate(inst)
+        assert len(set(cert.orders.values())) == 16
+        assert verified(inst, cert).verdict
+
+    def test_six_free_targets(self, zz, monkeypatch):
+        monkeypatch.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
+        inst = Instance(zz, [normalize(power_syllables(t), zz) for t in SIX_FREE_TARGETS], "theorem12")
+        cert = separate(inst)
+        assert len(set(cert.orders.values())) == 6
+        assert verified(inst, cert).verdict
+
+    # three targets of order 3 on the factor product action; 0 and 1 share a class
+    ORDER_THREE = ["abab", "abababab", "abababaB"]
+
+    def staged(self, f23, monkeypatch, pool, lemma_candidates=()):
+        """Run the finite stage on ORDER_THREE with a scripted pool and
+        scripted lemma candidates (score vectors), recording which draws are
+        read from the pool's source; each build() returns its label."""
+        read = []
+
+        def scripted(*args):
+            for n, scores in enumerate(pool):
+                read.append(n)
+                yield scores, lambda n=n: [f"draw {n}"], {"action": f"draw {n}"}
+
+        def lemmas(stage, i, j, *args):
+            for n, scores in enumerate(lemma_candidates):
+                yield scores, lambda n=n: [f"lemma {n}"], {"prime": n}
+
+        monkeypatch.setattr(pipeline, "_small_action", scripted)
+        monkeypatch.setattr(pipeline, "_repair_pair", lemmas)
+        words = [normalize(z2z3_syllables(t), f23) for t in self.ORDER_THREE]
+        transcript = []
+        components, orders = pipeline._finite_stage(f23, words, RunConfig(), 0, transcript)
+        return components[1:], orders, transcript, read
+
+    def test_round_keeps_the_first_draw_that_leaves_no_collision(self, f23, monkeypatch):
+        # draw 0 only shrinks the set, draw 1 changes nothing, draw 3 is never read
+        pool = [[5, 1, 1], [1, 1, 1], [5, 7, 1], [11, 13, 17]]
+        comps, orders, transcript, read = self.staged(f23, monkeypatch, pool)
+        assert comps == ["draw 2"] and read == [0, 1, 2]
+        assert orders == {0: 15, 1: 21, 2: 3}
+        assert transcript == [{"stage": "repair-same-class", "pair": [0, 1], "action": "draw 2"}]
+
+    def test_round_keeps_the_earliest_smallest_draw(self, f23, monkeypatch):
+        # round 1: draws 0 and 2 each leave one pair, draw 0 comes first;
+        # round 2 re-reads the pool, none shrinks {(1, 2)}, and the lemma
+        # candidates part it
+        pool = [[5, 1, 1], [1, 1, 1], [5, 5, 1], [7, 7, 7]]
+        comps, orders, transcript, read = self.staged(f23, monkeypatch, pool, [[1, 1, 1], [1, 7, 1]])
+        assert comps == ["draw 0", "lemma 1"] and read == [0, 1, 2, 3]
+        assert orders == {0: 15, 1: 21, 2: 3}
+        assert transcript == [
+            {"stage": "repair-same-class", "pair": [0, 1], "action": "draw 0"},
+            {"stage": "repair-cross-class", "pair": [1, 2], "prime": 1},
+        ]
+
+    def test_entry_names_the_least_pair_parted(self, f23, monkeypatch):
+        # draw 0 leaves (0, 1) colliding: its round parts (0, 2) and (1, 2)
+        pool = [[5, 5, 1], [7, 1, 1]]
+        comps, orders, transcript, _read = self.staged(f23, monkeypatch, pool)
+        assert comps == ["draw 0", "draw 1"]
+        assert orders == {0: 105, 1: 15, 2: 3}
+        assert transcript == [
+            {"stage": "repair-cross-class", "pair": [0, 2], "action": "draw 0"},
+            {"stage": "repair-same-class", "pair": [0, 1], "action": "draw 1"},
+        ]
+
+    def test_each_draw_is_scored_once(self, f23, monkeypatch):
+        # two pooled rounds re-read the scores of the first round's draws
+        scored = []
+        real = pipeline.fiber_order
+
+        def counted(returns, maps, inverse_maps, y):
+            scored.append((returns, maps))
+            return real(returns, maps, inverse_maps, y)
+
+        monkeypatch.setattr(pipeline, "fiber_order", counted)
+        cert = separate(TestRepairAcceptance.ten_targets(f23, 65))
+        assert len(repair_stages(cert)) == 2
+        assert len(set(scored)) == len(scored) > 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(Z2Z3_WORDS, min_size=2, max_size=6, unique=True))
+    def test_rounds_shrink_the_colliding_set(self, f23, texts):
+        words = [normalize(z2z3_syllables(t), f23) for t in texts]
+        try:
+            _check_rounds(Instance(f23, words, "theorem12"))
+        except (ConjugatePair, _Lemma3Called):
+            pass
+
+    @pytest.mark.parametrize("seed", sorted(TEN_TARGETS))
+    def test_ten_target_rounds_shrink_the_colliding_set(self, f23, seed):
+        # seed 65 takes two pooled rounds
+        words = [normalize(z2z3_syllables(t), f23) for t in TEN_TARGETS[seed].split()]
+        _check_rounds(Instance(f23, words, "theorem12"))
+
+
+def _check_rounds(inst: Instance) -> None:
+    """Separate with Lemma 3 refused and replay the repair rounds from the
+    certificate: every round's component strictly shrinks the colliding set
+    and parts the pair its entry names, and a pooled draw's graph has the
+    orders it was scored with."""
+    scored = {}
+    real = pipeline._small_action
+
+    def recorded(*args):
+        for scores, build, entry in real(*args):
+            def logged(build=build, scores=scores):
+                comps = build()
+                scored[id(comps[0])] = scores
+                return comps
+
+            yield scores, logged, entry
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_small_action", recorded)
+        mp.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
+        cert = separate(inst)
+    entries = [t for t in cert.transcript if t["stage"].startswith("repair-")]
+    assert len(entries) == len(cert.components) - 1
+    orders = [word_order(cert.components[0].graph, w) for w in inst.targets]
+    for entry, comp in zip(entries, cert.components[1:]):
+        on_comp = [word_order(comp.graph, w) for w in inst.targets]
+        new = [math.lcm(o, c) for o, c in zip(orders, on_comp)]
+        assert _colliding_pairs(new) < _colliding_pairs(orders)
+        assert tuple(entry["pair"]) == min(_colliding_pairs(orders) - _colliding_pairs(new))
+        if "action" in entry:
+            assert scored[id(comp)] == on_comp
+        orders = new
+    assert orders == [cert.orders[n] for n in range(len(inst.targets))]
+    assert len(set(orders)) == len(inst.targets)
 
 
 class TestTheorem3:

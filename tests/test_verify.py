@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordersep.covergraph import graph_to_json, synchronized_product
-from ordersep.errors import HypothesisViolation, InfiniteFactor
+from ordersep import verify
+from ordersep.errors import BadSyllable, HypothesisViolation, InfiniteFactor
 from ordersep.groupcore import cyclic_group
 from ordersep.pipeline import Instance, instance_to_json, separate
 from ordersep.verify import (
@@ -211,17 +212,32 @@ class TestVerifierMessages:
         table = random_loop_table(n, random.Random(seed))
         triple = first_non_associative_triple(table)
         expected = None if triple is None else "associativity fails at ({},{},{})".format(*triple)
-        assert _mul_table_ok(table) == expected
+        assert _mul_table_ok(table)[0] == expected
 
 
     def test_table_over_64_elements_is_checked_exactly(self):
-        assert _mul_table_ok(z500_loop()) == "associativity fails at (1,1,2)"
+        assert _mul_table_ok(z500_loop())[0] == "associativity fails at (1,1,2)"
 
     def test_every_generator_is_checked(self):
         table = z2_times_loop()
         assert _generating_sequence(table)[0] == 1
         triple = first_non_associative_triple(table)
-        assert _mul_table_ok(table) == "associativity fails at ({},{},{})".format(*triple)
+        assert _mul_table_ok(table)[0] == "associativity fails at ({},{},{})".format(*triple)
+
+    def test_one_generating_sequence_per_table(self, monkeypatch):
+        # the hom check hands its sequence to the graph check: one walk each
+        inst, cert = _zxz3_certificate()
+        tables = [tuple(map(tuple, hom["target_table"])) for hom in cert["factor_homs"]]
+        walked = []
+        real = verify._generating_sequence
+
+        def counted(table):
+            walked.append(tuple(map(tuple, table)))
+            return real(table)
+
+        monkeypatch.setattr(verify, "_generating_sequence", counted)
+        assert verify_certificate(inst, cert).verdict
+        assert walked == tables
 
 
 def _engine_certificates():
@@ -408,6 +424,24 @@ class TestOracle:
         inst_data["targets"] = [[[0, 1]]] * 4
         with pytest.raises(HypothesisViolation):
             brute_force_search(inst_data, max_degree=4)
+
+    @pytest.mark.parametrize(
+        "targets",
+        [
+            [[[0, 1.9], [1, 1]], [[1, "1"]]],  # not an int
+            [[[0, True], [1, 1]], [[True, 1]]],  # a bool
+            [[[0, -1], [1, 1]], [[1, -2]]],  # out of range, below
+            [[[0, 2], [1, 1]], [[1, 1]]],  # out of range, above
+        ],
+    )
+    def test_bad_syllable_is_rejected(self, f23, targets):
+        # int() and indexing read the first three as the targets ab and b;
+        # the last raised IndexError
+        inst_data = instance_to_json(Instance(f23, [AB, NormalForm((B,))]))
+        assert brute_force_search(inst_data, max_degree=3).found
+        inst_data["targets"] = targets
+        with pytest.raises(BadSyllable, match="target 0: syllable .* is not a factor element"):
+            brute_force_search(inst_data, max_degree=3)
 
     def test_deterministic(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
