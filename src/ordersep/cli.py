@@ -21,6 +21,7 @@ from pathlib import Path
 from .config import RunConfig, json_int, json_list
 from .covergraph import (
     SurgeryMark,
+    cayley_base,
     gamma_surgery,
     graph_from_json,
     graph_to_dot,
@@ -29,6 +30,7 @@ from .covergraph import (
     word_order,
 )
 from .errors import OrderSepError, ParseError, PostconditionFailed
+from .groupcore import validate_group
 from .lemmas import (
     SeparationResult,
     lemma1_boost,
@@ -94,7 +96,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--mode", choices=["auto", "theorem12", "theorem3"], default=None)
     run.add_argument("--max-vertices", type=int, default=None)
-    run.add_argument("--dot", metavar="DIR", default=None, help="emit component DOT files")
+    run.add_argument("--dot", metavar="DIR", default=None, help="emit product and component DOT files")
 
     for name in ("lemma1", "lemma2", "lemma3", "lemma4"):
         lp = sub.add_parser(name, help=f"run the {name} engine on explicit arguments")
@@ -149,10 +151,15 @@ def _dot_text(graph) -> str:
     return graph_to_dot(graph)
 
 
-def _emit_dots(components, directory: str) -> None:
+def _emit_dots(cert, directory: str) -> None:
+    """``product.dot``, the factor product action the certificate leaves
+    implicit (built here from its hom target tables), and one
+    ``component_<n>.dot`` per component."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for n, comp in enumerate(components):
+    groups = [validate_group(hom["target_table"]) for hom in cert.factor_homs]
+    (out_dir / "product.dot").write_text(_dot_text(cayley_base(*groups)))
+    for n, comp in enumerate(cert.components):
         (out_dir / f"component_{n}.dot").write_text(_dot_text(comp.graph))
 
 
@@ -174,7 +181,7 @@ def _cmd_separate(args) -> int:
     if not report.verdict:
         raise PostconditionFailed({"failures": report.failures})
     if args.dot:
-        _emit_dots(cert.components, args.dot)
+        _emit_dots(cert, args.dot)
     with open(args.out, "w") as handle:
         handle.write(_dump(data))
     orders = " ".join(f"{k}:{v}" for k, v in sorted(cert.orders.items()))

@@ -152,7 +152,11 @@ def _checked(g: CoverGraph) -> CoverGraph:
 
 def cayley_base(a: FiniteGroup, b: FiniteGroup, max_vertices: int = DEFAULT_MAX_VERTICES) -> CoverGraph:
     """The direct-product action: vertices (x, y), factor 0 multiplying x and
-    factor 1 multiplying y.  Every Cartesian-subgroup element acts trivially."""
+    factor 1 multiplying y.  Every Cartesian-subgroup element acts trivially.
+
+    Certificates leave this action implicit, as the factor tables determine
+    it and a word's order on it is the lcm of its factor images' orders; it
+    is built only as a reference for those orders and for ``--dot``."""
     na, nb = a.n, b.n
     if na * nb > max_vertices:
         raise BudgetExceeded(f"{na * nb} vertices over budget {max_vertices}")

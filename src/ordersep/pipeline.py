@@ -15,13 +15,13 @@ from dataclasses import dataclass, field, replace
 from .config import RunConfig, json_int, json_list, sub_seed
 from .covergraph import (
     CoverGraph,
-    cayley_base,
     fiber_order,
     fiber_returns,
     induced_graph,
     word_order,
 )
 from .errors import (
+    BudgetExceeded,
     ConjugatePair,
     EmptyTargets,
     HypothesisViolation,
@@ -57,6 +57,7 @@ from .words import (
     normalize,
     power,
     primitive_root,
+    product_order,
 )
 
 MODULUS_BOUND = 10 ** 6  # largest modulus tried for an infinite cyclic factor
@@ -80,8 +81,11 @@ class Instance:
 
 @dataclass
 class Certificate:
-    """Factor homs plus the components whose disjoint union is the witness
-    action: each target's order there is the lcm of its component orders."""
+    """Factor homs plus the repair rounds' components.  The witness action is
+    the regular action of A x B on the homs' target tables, disjoint-union
+    the components: each target's order there is the lcm of its order in
+    A x B and its component orders.  The product action is implicit, as the
+    target tables determine it; ``components`` lists only built graphs."""
 
     factor_homs: list[dict]
     components: list[Component]
@@ -92,7 +96,7 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
-            "schema": 1,
+            "schema": 2,
             "factor_homs": self.factor_homs,
             "components": [comp.to_json() for comp in self.components],
             "orders": {str(i): o for i, o in sorted(self.orders.items())},
@@ -498,6 +502,11 @@ def _finite_stage(
     product action and, while orders collide, add one candidate's components
     per repair round.
 
+    The product action is never built: its |A||B| vertices are held to
+    ``max_vertices`` as if it were, its orders come from ``product_order``,
+    and the certificate leaves it implicit, so no graph exists before a
+    repair round and an instance that needs none returns no components.
+
     A round first reads one pool of small-action draws, scored once per call
     and re-read by later rounds, and keeps the draw whose colliding set is a
     strict subset of the current one and smallest (the earliest on a tie),
@@ -509,11 +518,13 @@ def _finite_stage(
     round with no candidate raises ``RepairBudgetExceeded`` naming its stage
     and pair.
     """
-    base = cayley_base(*rfactors.groups(), max_vertices=config.max_vertices)
-    components = [Component(base, None, "factor product action")]
+    ga, gb = rfactors.groups()
+    if ga.n * gb.n > config.max_vertices:
+        raise BudgetExceeded(f"{ga.n * gb.n} vertices over budget {config.max_vertices}")
+    components: list[Component] = []
     classes = hyperbolic_classes(classify_targets(mapped)[2], mapped, rfactors)
     root_of = {i: n for n, cls in enumerate(classes) for i, _k, _l in cls.members}
-    orders = {n: word_order(base, w) for n, w in enumerate(mapped)}
+    orders = {n: product_order(w, rfactors) for n, w in enumerate(mapped)}
     pool = _Replay(_small_action(mapped, rfactors, config, sub_seed(seed, "repair", 0)))
     round_no = 0
     while colliding := _colliding(orders):
@@ -604,9 +615,12 @@ def _repair_pair(
                 == valuation(p, lj) - valuation(p, abs(kj))
             ):
                 continue
-            ceiling = max(
-                valuation(p, word_order(c.graph, cls.root)) for c in components
-            ) + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
+            root_orders = [product_order(cls.root, rfactors)]
+            root_orders += [word_order(c.graph, cls.root) for c in components]
+            ceiling = (
+                max(valuation(p, o) for o in root_orders)
+                + max(valuation(p, abs(ki)), valuation(p, abs(kj))) + 1
+            )
             comp = lemma1_boost([cls.root], p, ceiling, rfactors, seed=seed, config=config)
             yield _built([comp], mapped, {"prime": p})
     elif stage == "repair-cross-class":
@@ -675,8 +689,9 @@ def assemble_certificate(
     orders: dict[int, int],
     transcript: list[dict],
 ) -> Certificate:
-    """Bundle homs, components, orders and transcript; the components' disjoint
-    union is the certificate's action, so no product is materialized."""
+    """Bundle homs, components, orders and transcript; the factor product
+    action, disjoint-union the components, is the certificate's action, and
+    neither it nor any product of components is materialized."""
     hom_data = []
     for hom in homs:
         entry: dict = {"kind": hom.kind, "target_table": [list(r) for r in hom.target.table]}

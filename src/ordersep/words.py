@@ -256,14 +256,21 @@ def in_cartesian(w: NormalForm, factors: Factors) -> bool:
     return factor_image(w, factors) == (0, 0)
 
 
+def product_order(w: NormalForm, factors: Factors) -> int:
+    """The order of the image of ``w`` in the direct product of the (finite)
+    factors, so its order on the factor product action, the regular action
+    of A x B: the lcm of the orders of its images in the two factors."""
+    a, b = factor_image(w, factors)
+    ga, gb = factors.groups()
+    return math.lcm(element_order(ga, a), element_order(gb, b))
+
+
 def minimal_cartesian_power(w: NormalForm, factors: Factors) -> int:
     """Least m >= 1 with w^m in the Cartesian subgroup: the order of the
     image of w in the direct product of the factors."""
     if w.is_identity:
         raise TrivialTarget("minimal cartesian power of the identity")
-    a, b = factor_image(w, factors)
-    ga, gb = factors.groups()
-    return math.lcm(element_order(ga, a), element_order(gb, b))
+    return product_order(w, factors)
 
 
 @dataclass(frozen=True)

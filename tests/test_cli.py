@@ -35,6 +35,8 @@ def write(tmp_path, name, data):
 
 
 TRIPLE = [[[0, 1]], [[1, 1]], [[0, 1], [1, 1]]]
+# b and (ab)^2 collide on the factor product action; a repair round parts them
+VS_FACTOR = [[[1, 1]], [[0, 1], [1, 1], [0, 1], [1, 1]]]
 
 
 class TestSeparate:
@@ -68,6 +70,16 @@ class TestSeparate:
         inst = write(tmp_path, "inst.json", data)
         assert run_cli(["separate", inst, "--out", str(tmp_path / "c.json")]) == 3
 
+    def test_budget_counts_the_implicit_product(self, tmp_path, capsys):
+        # the factor product action is never built, but its 6 vertices are
+        # held to the budget as if it were
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        argv = ["--json", "separate", inst, "--max-vertices", "5", "--out", str(tmp_path / "c.json")]
+        assert run_cli(argv) == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "BudgetExceeded", "detail": "6 vertices over budget 5"
+        }
+
     def test_parse_error_exit_5(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")
@@ -80,13 +92,18 @@ class TestSeparate:
         assert run_cli(["frobnicate"]) == 5
 
     def test_dot_emission(self, tmp_path, capsys):
-        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
-        out = str(tmp_path / "cert.json")
-        dots = tmp_path / "dots"
-        assert run_cli(["separate", inst, "--out", out, "--dot", str(dots)]) == 0
-        files = sorted(dots.glob("component_*.dot"))
-        assert files
-        assert files[0].read_text().startswith("digraph")
+        # product.dot draws the implicit factor product action; each repair
+        # component gets its own file
+        cases = [("triple", TRIPLE, []), ("vs", VS_FACTOR, ["component_0.dot"])]
+        for name, targets, components in cases:
+            inst = write(tmp_path, f"{name}.json", instance_z2z3(targets))
+            out = str(tmp_path / f"{name}-cert.json")
+            dots = tmp_path / name
+            assert run_cli(["separate", inst, "--out", out, "--dot", str(dots)]) == 0
+            assert sorted(p.name for p in dots.glob("component_*.dot")) == components
+            for path in [dots / "product.dot", *(dots / c for c in components)]:
+                assert path.read_text().startswith("digraph")
+        assert (tmp_path / "triple" / "product.dot").read_text().count("->") == 6 * (1 + 2)
 
     def test_determinism(self, tmp_path, capsys):
         inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
@@ -100,11 +117,10 @@ class TestSeparate:
 
 class TestParserReuse:
     def test_reused_parser_matches_fresh_one(self, tmp_path, capsys):
-        # b and (ab)^2 collide on the base action; the repair pool parts them
-        # with a seeded small action on 18 vertices, and below that budget
-        # the fallback Lemma 1 boost needs a 30-vertex fiber
-        vs_factor = [[[1, 1]], [[0, 1], [1, 1], [0, 1], [1, 1]]]
-        inst = write(tmp_path, "inst.json", instance_z2z3(vs_factor, config={"lemma1_attempts": 200}))
+        # the repair pool parts VS_FACTOR with a seeded small action on 18
+        # vertices, and below that budget the fallback Lemma 1 boost needs a
+        # 30-vertex fiber
+        inst = write(tmp_path, "inst.json", instance_z2z3(VS_FACTOR, config={"lemma1_attempts": 200}))
         calls = [
             ["separate", inst, "--seed", "7"],
             ["separate", inst],
@@ -151,7 +167,8 @@ class TestVerifyCommand:
 
 class TestMalformedCertificate:
     """``verify`` answers malformed certificate data with a failing report
-    and exit 4, never an exception."""
+    and exit 4, never an exception.  The certificate's one component is the
+    repair round's small action."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -170,7 +187,7 @@ class TestMalformedCertificate:
         ],
     )
     def test_failing_report(self, tmp_path, capsys, tamper, message):
-        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        inst = write(tmp_path, "inst.json", instance_z2z3(VS_FACTOR))
         out = tmp_path / "cert.json"
         assert run_cli(["separate", inst, "--out", str(out)]) == 0
         cert = json.loads(out.read_text())

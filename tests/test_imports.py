@@ -15,6 +15,8 @@ factor-hom search ``_search_hom_pair`` has one user, ``reduce_factors``,
 so a second hom search cannot come back unnoticed; likewise only
 ``_finite_stage`` applies the repair acceptance rule and raises
 ``RepairBudgetExceeded``, and no function takes an acceptance callback.
+The factor product action stays implicit: ``pipeline`` never names
+``cayley_base``, and the finite stage builds no graph before a repair round.
 A modulus candidate builds no Z/m table, and associativity is never
 sampled.
 """
@@ -187,3 +189,33 @@ def test_no_table_for_a_modulus_candidate():
 def test_associativity_is_checked_exactly():
     # no size bound above which triples are sampled
     assert not _sites(lambda node: (_name(node) or "").startswith("ASSOC_"))
+
+
+def test_no_product_graph_in_the_pipeline():
+    # the factor product action stays implicit: pipeline.py never names
+    # cayley_base, and _finite_stage builds no graph before its repair
+    # loop, where a graph comes only from a round's candidate
+    pipeline = ast.parse((PACKAGE / "pipeline.py").read_text())
+    assert "cayley_base" not in {_name(node) for node in ast.walk(pipeline)}
+    # every covergraph function returning a graph, every lemma engine
+    # returning components, and the two classes
+    builders = {"CoverGraph", "Component"} | {
+        node.name
+        for module in ("covergraph", "lemmas")
+        for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+        and _name(node.returns) in {"CoverGraph", "Component", "SeparationResult"}
+    }
+    stage = next(
+        node for node in pipeline.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_finite_stage"
+    )
+    loop = next(n for n, stmt in enumerate(stage.body) if isinstance(stmt, ast.While))
+    calls = {
+        _name(node.func)
+        for stmt in stage.body[:loop]
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Call)
+    }
+    assert {"cayley_base", "induced_graph", "lemma1_boost", "lemma3_separate"} <= builders
+    assert not calls & builders, sorted(calls & builders)

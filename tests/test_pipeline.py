@@ -6,9 +6,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordersep import pipeline
+from ordersep import pipeline, verify
 from ordersep.config import RunConfig
-from ordersep.covergraph import word_order
+from ordersep.covergraph import cayley_base, word_order
 from ordersep.errors import (
     BudgetExceeded,
     ConjugatePair,
@@ -28,6 +28,7 @@ from ordersep.pipeline import (
     hyperbolic_classes,
     instance_to_json,
     parse_instance,
+    product_order,
     reduce_factors,
     run_theorem3,
     run_theorem12,
@@ -41,6 +42,7 @@ from helpers import (
     SIXTEEN_TARGETS,
     TEN_TARGETS,
     power_syllables,
+    two_generator_groups,
     z2z3_syllables,
 )
 
@@ -237,9 +239,10 @@ class TestTheorem12:
         assert verified(inst, cert).verdict
 
     def test_gamma_empty_uses_base_only(self, f23):
+        # the factor product action is implicit: the certificate lists no graph
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,))], "theorem12")
         cert = separate(inst)
-        assert len(cert.components) == 1
+        assert cert.components == []
         assert cert.orders == {0: 2, 1: 3}
         assert verified(inst, cert).verdict
 
@@ -247,7 +250,7 @@ class TestTheorem12:
         # a and ab already have orders 2 and 6 on the factor product action
         inst = Instance(f23, [NormalForm((A,)), AB], "theorem12")
         cert = separate(inst)
-        assert [c.graph.vcount for c in cert.components] == [6]
+        assert cert.components == []
         assert cert.orders == {0: 2, 1: 6}
         assert repair_stages(cert) == []
         assert verified(inst, cert).verdict
@@ -256,7 +259,7 @@ class TestTheorem12:
         # b and (ab)^2 both have order 3 on the factor product action
         inst = Instance(f23, [NormalForm((B,)), power(AB, 2, f23)], "theorem12")
         cert = separate(inst)
-        assert len(cert.components) == 2
+        assert len(cert.components) == 1
         assert repair_stages(cert) == ["repair-vs-factor"]
         assert cert.orders[0] == 3 and cert.orders[1] != 3
         assert verified(inst, cert).verdict
@@ -284,7 +287,7 @@ class TestTheorem12:
         targets = [[A, b2, A, B, A, B, A, b2], [A, b2], [b2, A, B, A]]
         inst = Instance(f23, [normalize(w, f23) for w in targets], "theorem12")
         cert = separate(inst)
-        assert [c.graph.vcount for c in cert.components] == [6, 18]
+        assert [c.graph.vcount for c in cert.components] == [18]
         assert repair_stages(cert) == ["repair-cross-class"]
         assert len(set(cert.orders.values())) == 3
         assert verified(inst, cert).verdict
@@ -297,7 +300,7 @@ class TestTheorem12:
         cert = separate(inst)
         entry = next(t for t in cert.transcript if t["stage"] == "repair-cross-class")
         assert "action" not in entry
-        assert len(cert.components) > 2
+        assert len(cert.components) > 1
         assert cert.orders[0] != cert.orders[1]
         assert verified(inst, cert).verdict
 
@@ -323,12 +326,13 @@ class TestTheorem12:
         assert sets == 129
 
     def test_original_order_is_power_times_class_order(self, f23):
-        # order of ab must equal 6 times the order of (ab)^6 on every component
+        # order of ab must equal 6 times the order of (ab)^6 on the factor
+        # product action and on every component
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB], "theorem12")
         cert = separate(inst)
         w6 = power(AB, 6, f23)
-        for comp in cert.components:
-            assert word_order(comp.graph, AB) == 6 * word_order(comp.graph, w6)
+        for graph in [cayley_base(*f23.groups()), *(c.graph for c in cert.components)]:
+            assert word_order(graph, AB) == 6 * word_order(graph, w6)
 
     def test_klein_factor(self, klein):
         z3 = cyclic_group(3)
@@ -606,7 +610,7 @@ class TestPooledRepair:
         words = [normalize(z2z3_syllables(t), f23) for t in self.ORDER_THREE]
         transcript = []
         components, orders = pipeline._finite_stage(f23, words, RunConfig(), 0, transcript)
-        return components[1:], orders, transcript, read
+        return components, orders, transcript, read
 
     def test_round_keeps_the_first_draw_that_leaves_no_collision(self, f23, monkeypatch):
         # draw 0 only shrinks the set, draw 1 changes nothing, draw 3 is never read
@@ -692,9 +696,10 @@ def _check_rounds(inst: Instance) -> None:
         mp.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
         cert = separate(inst)
     entries = [t for t in cert.transcript if t["stage"].startswith("repair-")]
-    assert len(entries) == len(cert.components) - 1
-    orders = [word_order(cert.components[0].graph, w) for w in inst.targets]
-    for entry, comp in zip(entries, cert.components[1:]):
+    assert len(entries) == len(cert.components)
+    base = cayley_base(*inst.factors.groups())
+    orders = [word_order(base, w) for w in inst.targets]
+    for entry, comp in zip(entries, cert.components):
         on_comp = [word_order(comp.graph, w) for w in inst.targets]
         new = [math.lcm(o, c) for o, c in zip(orders, on_comp)]
         assert _colliding_pairs(new) < _colliding_pairs(orders)
@@ -781,8 +786,8 @@ class TestTheorem3:
 
 class TestAssemble:
     def test_certificate_carries_no_product(self, f23):
-        # the components' disjoint union is the witness action; no product
-        # of them is materialized, however small
+        # the factor product action, disjoint-union the components, is the
+        # witness action; no product of them is materialized, however small
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,))], "theorem12")
         cert = separate(inst)
         assert "product" not in cert.to_json()
@@ -792,7 +797,41 @@ class TestAssemble:
         inst = Instance(f23, [ABAB2, power(AB, 6, f23)], "theorem12")
         cert = separate(inst)
         for i, w in enumerate([ABAB2, power(AB, 6, f23)]):
-            assert cert.orders[i] == math.lcm(*(word_order(c.graph, w) for c in cert.components))
+            on_comps = [word_order(c.graph, w) for c in cert.components]
+            assert cert.orders[i] == math.lcm(product_order(w, f23), *on_comps)
+
+
+def _product_order_groups():
+    groups = {f"Z/{n}": cyclic_group(n) for n in range(2, 7)}
+    groups["Klein"] = validate_group([[i ^ j for j in range(4)] for i in range(4)])
+    groups.update(two_generator_groups())  # S3, D4, Q8, A4
+    return groups
+
+
+class TestProductOrder:
+    """On the factor product action, the regular action of A x B, a word's
+    order is the lcm of its factor images' orders: the construction's table
+    arithmetic, a walk through the built action and the verifier's own
+    arithmetic on the mapped reduced word agree."""
+
+    GROUPS = _product_order_groups()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_three_ways_agree(self, data):
+        names = sorted(self.GROUPS)
+        ga = self.GROUPS[data.draw(st.sampled_from(names))]
+        gb = self.GROUPS[data.draw(st.sampled_from(names))]
+        syllables = st.tuples(st.integers(0, 1), st.integers(0, 11))
+        raw = [(f, v % (ga, gb)[f].n) for f, v in data.draw(st.lists(syllables, max_size=12))]
+        factors = finite_factors(ga, gb)
+        w = normalize(raw, factors)
+        expected = word_order(cayley_base(ga, gb), w)
+        assert product_order(w, factors) == expected
+        tables = [[list(row) for row in g.table] for g in (ga, gb)]
+        homs = [{"kind": "finite", "map": list(range(g.n))} for g in (ga, gb)]
+        mapped = verify._reduce(verify._map_syllables(raw, homs), tables)
+        assert verify._product_order(mapped, tables) == expected
 
 
 class TestInstanceJson:

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordersep.covergraph import graph_to_json, synchronized_product
+from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
 from ordersep import verify
 from ordersep.errors import BadSyllable, HypothesisViolation, InfiniteFactor
-from ordersep.groupcore import cyclic_group
+from ordersep.groupcore import cyclic_group, validate_group
 from ordersep.pipeline import Instance, instance_to_json, separate
 from ordersep.verify import (
     _generating_sequence,
@@ -40,10 +40,21 @@ def make_cert(inst):
     return data
 
 
+def with_base(data):
+    """``data`` as a schema-1 certificate: the factor product action, which
+    schema 2 leaves implicit, listed as component 0."""
+    groups = [validate_group(hom["target_table"]) for hom in data["factor_homs"]]
+    base = {
+        "type": "graph", "prime": None, "note": "factor product action",
+        "graph": graph_to_json(cayley_base(*groups)),
+    }
+    return {**data, "schema": 1, "components": [base, *data["components"]]}
+
+
 def with_product(inst):
     cert = separate(inst)
-    product = cert.components[0].graph
-    for comp in cert.components[1:]:
+    product = cayley_base(*inst.factors.groups())
+    for comp in cert.components:
         product = synchronized_product(product, comp.graph)
     data = cert.to_json()
     data["verified"] = True
@@ -69,7 +80,7 @@ class TestVerifyCertificate:
 
     def test_freeness_defect_fails(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
-        data = make_cert(inst)
+        data = with_base(make_cert(inst))
         graph = data["components"][0]["graph"]
         # redirect one edge onto its own start: freeness violation
         graph["action"][0][0][0] = 0
@@ -132,7 +143,7 @@ def _triple():
 
 def _failures_after(tamper):
     inst = _triple()
-    data = make_cert(inst)
+    data = with_base(make_cert(inst))
     tamper(data)
     return verify_certificate(instance_to_json(inst), data).failures
 
@@ -162,8 +173,9 @@ def _second_column_is_first(data):
 
 
 class TestVerifierMessages:
-    """One case per graph and hom failure of the Z/2*Z/3 base action
-    (element 1 of Z/3 sends vertex v to [1, 2, 0, 4, 5, 3][v])."""
+    """One case per graph and hom failure of the Z/2*Z/3 base action, listed
+    explicitly as component 0 of a schema-1 certificate (element 1 of Z/3
+    sends vertex v to [1, 2, 0, 4, 5, 3][v])."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -245,7 +257,7 @@ def _engine_certificates():
     f34 = finite_factors(cyclic_group(3), cyclic_group(4))
     instances = [
         _triple(),
-        # base action plus a 150-vertex Lemma 1 component
+        # an 18-vertex small action parts b from (ab)^2
         Instance(f23, [NormalForm((B,)), NormalForm((A, B, A, B))]),
         Instance(f34, [NormalForm(((0, 1),)), NormalForm(((1, 2),)), NormalForm(((0, 1), (1, 1)))]),
     ]
@@ -253,13 +265,16 @@ def _engine_certificates():
 
 
 ENGINE_CERTIFICATES = _engine_certificates()
+# the same certificates in schema 1: each lists the factor product action as
+# component 0, so each has a graph to tamper with
+SCHEMA1_CERTIFICATES = [(inst, with_base(cert)) for inst, cert in ENGINE_CERTIFICATES]
 
 
 class TestTamperedActions:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_any_single_action_entry_change_is_rejected(self, data):
-        inst, cert = data.draw(st.sampled_from(ENGINE_CERTIFICATES))
+        inst, cert = data.draw(st.sampled_from(SCHEMA1_CERTIFICATES))
         assert verify_certificate(inst, cert).verdict
         k = data.draw(st.integers(0, len(cert["components"]) - 1))
         graph = cert["components"][k]["graph"]
@@ -280,7 +295,7 @@ class TestTamperedActions:
     def test_messages_match_the_vertex_walk(self, data):
         # several edits at once, including rows of the wrong width: the
         # verifier reports the defect a vertex-by-vertex walk meets first
-        inst, cert = data.draw(st.sampled_from(ENGINE_CERTIFICATES))
+        inst, cert = data.draw(st.sampled_from(SCHEMA1_CERTIFICATES))
         graph = copy.deepcopy(data.draw(st.sampled_from(cert["components"]))["graph"])
         for _ in range(data.draw(st.integers(1, 3))):
             f = data.draw(st.integers(0, 1))
@@ -329,7 +344,7 @@ def _zxz3_certificate():
     return instance_to_json(inst), make_cert(inst)
 
 
-MUTABLE_CERTIFICATES = ENGINE_CERTIFICATES + [_zxz3_certificate()]
+MUTABLE_CERTIFICATES = ENGINE_CERTIFICATES + SCHEMA1_CERTIFICATES + [_zxz3_certificate()]
 
 
 def _checked_fields(cert: dict) -> list[tuple[dict, str]]:
@@ -378,6 +393,54 @@ class TestMutatedCertificates:
                 node[key] = data.draw(st.sampled_from([-1 - old, old + 1000]))
         report = verify_certificate(inst, cert)
         assert not report.verdict and report.failures
+
+
+ZERO_COMPONENT_CERTIFICATES = [
+    (inst, cert) for inst, cert in MUTABLE_CERTIFICATES if not cert["components"]
+]
+
+
+class TestImplicitProduct:
+    """A schema-2 certificate leaves the factor product action implicit: the
+    verifier recomputes each order as the lcm of the target's order in the
+    direct product of the hom target tables and its walked component
+    orders."""
+
+    def test_zero_component_certificate_verifies(self):
+        inst, cert = ENGINE_CERTIFICATES[0]
+        assert cert["schema"] == 2 and cert["components"] == []
+        report = verify_certificate(inst, cert)
+        assert report.verdict and report.orders == {0: 2, 1: 3, 2: 6}
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tampered_target_table_fails(self, data):
+        inst, cert = data.draw(st.sampled_from(ZERO_COMPONENT_CERTIFICATES))
+        cert = copy.deepcopy(cert)
+        table = cert["factor_homs"][data.draw(st.integers(0, 1))]["target_table"]
+        row = table[data.draw(st.integers(0, len(table) - 1))]
+        y = data.draw(st.integers(0, len(row) - 1))
+        row[y] = data.draw(st.integers(0, len(row) - 1).filter(lambda v: v != row[y]))
+        assert not verify_certificate(inst, cert).verdict
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_tampered_order_fails(self, data):
+        inst, cert = data.draw(st.sampled_from(ZERO_COMPONENT_CERTIFICATES))
+        cert = copy.deepcopy(cert)
+        key = data.draw(st.sampled_from(sorted(cert["orders"])))
+        claimed = cert["orders"][key]
+        cert["orders"][key] = data.draw(st.integers(1, 10 ** 6).filter(lambda v: v != claimed))
+        report = verify_certificate(inst, cert)
+        assert report.failures[0].startswith(f"target {key}: claimed order")
+
+    def test_schema1_certificate_gives_the_same_orders(self):
+        for inst, cert in ENGINE_CERTIFICATES + [_zxz3_certificate()]:
+            implicit = verify_certificate(inst, cert)
+            explicit = verify_certificate(inst, with_base(cert))
+            claimed = {int(k): v for k, v in cert["orders"].items()}
+            assert implicit.verdict and explicit.verdict
+            assert implicit.orders == explicit.orders == claimed
 
 
 class TestOracle:
