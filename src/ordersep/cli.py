@@ -30,7 +30,6 @@ from .covergraph import (
     word_order,
 )
 from .errors import OrderSepError, ParseError, PostconditionFailed
-from .groupcore import validate_group
 from .lemmas import (
     SeparationResult,
     lemma1_boost,
@@ -40,7 +39,6 @@ from .lemmas import (
 )
 from .pipeline import (
     Instance,
-    instance_to_json,
     parse_factors,
     parse_instance,
     parse_word,
@@ -153,11 +151,11 @@ def _dot_text(graph) -> str:
 
 def _emit_dots(cert, directory: str) -> None:
     """``product.dot``, the factor product action the certificate leaves
-    implicit (built here from its hom target tables), and one
+    implicit (built here from its homs' target groups), and one
     ``component_<n>.dot`` per component."""
     out_dir = Path(directory)
     out_dir.mkdir(parents=True, exist_ok=True)
-    groups = [validate_group(hom["target_table"]) for hom in cert.factor_homs]
+    groups = [hom.target for hom in cert.factor_homs]
     (out_dir / "product.dot").write_text(_dot_text(cayley_base(*groups)))
     for n, comp in enumerate(cert.components):
         (out_dir / f"component_{n}.dot").write_text(_dot_text(comp.graph))
@@ -173,11 +171,13 @@ def _separation_json(res: SeparationResult) -> dict:
 
 
 def _cmd_separate(args) -> int:
-    inst = _apply_overrides(parse_instance(_load_json(args.instance)), args)
+    instance_data = _load_json(args.instance)
+    inst = _apply_overrides(parse_instance(instance_data), args)
     cert = separate(inst)
     data = cert.to_json()
     data["verified"] = True
-    report = verify_certificate(instance_to_json(inst), data)
+    # checked against the file as loaded: the one ``verify`` is given
+    report = verify_certificate(instance_data, data)
     if not report.verdict:
         raise PostconditionFailed({"failures": report.failures})
     if args.dot:

@@ -259,8 +259,12 @@ def _associativity_failures(table: Sequence[Sequence[int]]) -> Iterator[tuple[in
 
 
 def cyclic_group(n: int) -> FiniteGroup:
-    table = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return validate_group(table)
+    """Z/n, built directly: row i is 0..n-1 rotated by i, the inverse of i
+    is -i mod n, and 1 generates (Z/1 needs no generator).  Tables from
+    outside the program go through ``validate_group``."""
+    row = tuple(range(n))
+    table = tuple(row[i:] + row[:i] for i in range(n))
+    return FiniteGroup(n, table, tuple((-i) % n for i in range(n)), (1,) if n > 1 else ())
 
 
 def element_order(group: FiniteGroup, x: int) -> int:

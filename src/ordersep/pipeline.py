@@ -82,12 +82,24 @@ class Instance:
 @dataclass
 class Certificate:
     """Factor homs plus the repair rounds' components.  The witness action is
-    the regular action of A x B on the homs' target tables, disjoint-union
+    the regular action of A x B on the homs' target groups, disjoint-union
     the components: each target's order there is the lcm of its order in
     A x B and its component orders.  The product action is implicit, as the
-    target tables determine it; ``components`` lists only built graphs."""
+    target groups determine it; ``components`` lists only built graphs.
 
-    factor_homs: list[dict]
+    ``to_json`` writes schema 3, where each hom carries only what the
+    instance does not determine, in one of three kinds:
+
+    - ``{"kind": "identity"}``: a finite factor onto itself, so the target
+      table is the instance's factor table;
+    - ``{"kind": "infinite_cyclic", "modulus": m}``: Z onto Z/m, 1 to 1,
+      so the modulus determines the target;
+    - ``{"kind": "finite", "map": [...], "target_table": [...]}``: any other
+      finite hom (a proper quotient, or the trivial retraction), with the
+      image of each element and the target's table.
+    """
+
+    factor_homs: tuple[FactorHom, FactorHom]
     components: list[Component]
     orders: dict[int, int]
     verified: bool
@@ -96,13 +108,26 @@ class Certificate:
 
     def to_json(self) -> dict:
         return {
-            "schema": 2,
-            "factor_homs": self.factor_homs,
+            "schema": 3,
+            "factor_homs": [_hom_json(hom) for hom in self.factor_homs],
             "components": [comp.to_json() for comp in self.components],
             "orders": {str(i): o for i, o in sorted(self.orders.items())},
             "verified": self.verified,
             "transcript": self.transcript,
         }
+
+
+def _hom_json(hom: FactorHom) -> dict:
+    """A hom's schema-3 entry (see ``Certificate``)."""
+    if hom.kind == "infinite_cyclic":
+        return {"kind": "infinite_cyclic", "modulus": hom.modulus}
+    if hom.source == hom.target and hom.map == tuple(range(hom.target.n)):
+        return {"kind": "identity"}
+    return {
+        "kind": "finite",
+        "map": list(hom.map),
+        "target_table": [list(row) for row in hom.target.table],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +143,12 @@ def parse_factors(data: list) -> Factors:
         if kind == "finite":
             rows = json_list(entry.get("table"), "factor table")
             table = [json_list(row, "factor table row") for row in rows]
-            specs.append(FactorSpec("finite", validate_group(table)))
+            group = validate_group(table)
+            # a certificate's identity hom and every syllable read the
+            # table's own labels, so a relabelled table is refused
+            if group.table != tuple(map(tuple, table)):
+                raise ParseError(f"factor {len(specs)}: the identity is not element 0")
+            specs.append(FactorSpec("finite", group))
         elif kind == "infinite_cyclic":
             specs.append(FactorSpec("infinite_cyclic"))
         else:
@@ -692,16 +722,8 @@ def assemble_certificate(
     """Bundle homs, components, orders and transcript; the factor product
     action, disjoint-union the components, is the certificate's action, and
     neither it nor any product of components is materialized."""
-    hom_data = []
-    for hom in homs:
-        entry: dict = {"kind": hom.kind, "target_table": [list(r) for r in hom.target.table]}
-        if hom.kind == "finite":
-            entry["map"] = list(hom.map)
-        else:
-            entry["modulus"] = hom.modulus
-        hom_data.append(entry)
     return Certificate(
-        factor_homs=hom_data,
+        factor_homs=homs,
         components=components,
         orders=orders,
         verified=False,

@@ -19,6 +19,10 @@ from functools import lru_cache
 from .errors import BadSyllable, BudgetExceeded, HypothesisViolation, InfiniteFactor
 
 OracleImages = tuple[tuple[int, ...], ...]
+# largest modulus whose Z/m table the verifier builds (134 MB at 2**12): a
+# certificate names m in a few bytes, so without a bound it could ask for
+# any amount of memory
+MAX_MODULUS = 2 ** 12
 
 
 @dataclass
@@ -82,45 +86,58 @@ def _mul_table_ok(table: list[list[int]]) -> tuple[str | None, list[int]]:
     return None, gens
 
 
-def _hom_ok(hom: dict, source: dict) -> tuple[str | None, list[int]]:
-    """The first failure of a factor hom, or None, with its target table's
-    generating sequence."""
-    table = hom.get("target_table")
-    if not isinstance(table, list):
-        return "missing target table", []
-    err, gens = _mul_table_ok(table)
-    if err:
-        return f"target not a group: {err}", gens
-    return _hom_map_error(hom, source, table), gens
+def _cyclic_table(m: int) -> list[list[int]]:
+    """The table of Z/m: row i is 0..m-1 rotated by i."""
+    row = list(range(m))
+    return [row[i:] + row[:i] for i in range(m)]
 
 
-def _hom_map_error(hom: dict, source: dict, table: list[list[int]]) -> str | None:
-    """The first failure of a hom's map onto a checked target table."""
+def _hom_ok(hom: dict, source: dict) -> tuple[str | None, list[list[int]], list[int]]:
+    """The first failure of a factor hom, or None, with its target table and
+    the table's generating sequence.
+
+    Only a ``finite`` hom's table is read from the certificate.  An
+    ``identity`` hom's target is the instance's factor table, checked as a
+    group here; a modulus hom's is Z/m, built here.  A table that either
+    carries is not read."""
     kind = hom.get("kind")
-    if kind == "finite":
-        if source.get("type") != "finite":
-            return "finite hom on non-finite factor"
-        src = source["table"]
-        mapping = hom.get("map")
-        if not isinstance(mapping, list) or len(mapping) != len(src) or mapping[0] != 0:
-            return "map shape wrong"
-        if any(type(m) is not int or not 0 <= m < len(table) for m in mapping):
-            return "map entry out of range"
-        # row by row: map(x*y) over all y against map(x)*map(y)
-        for x, row in enumerate(src):
-            image_row = table[mapping[x]]
-            if [mapping[z] for z in row] != [image_row[m] for m in mapping]:
-                y = next(y for y, z in enumerate(row) if mapping[z] != image_row[mapping[y]])
-                return f"not a homomorphism at ({x},{y})"
-        return None
     if kind == "infinite_cyclic":
         if source.get("type") != "infinite_cyclic":
-            return "modulus hom on finite factor"
+            return "modulus hom on finite factor", [], []
         modulus = hom.get("modulus")
-        if type(modulus) is not int or modulus != len(table):
-            return "modulus does not match target size"
-        return None
-    return f"unknown hom kind {kind!r}"
+        if type(modulus) is not int or not 1 <= modulus <= MAX_MODULUS:
+            return f"modulus {modulus!r} not in 1..{MAX_MODULUS}", [], []
+        return None, _cyclic_table(modulus), [1] if modulus > 1 else []
+    if kind not in ("identity", "finite"):
+        return f"unknown hom kind {kind!r}", [], []
+    if source.get("type") != "finite":
+        return f"{kind} hom on non-finite factor", [], []
+    table = source.get("table") if kind == "identity" else hom.get("target_table")
+    if not isinstance(table, list):
+        return "missing target table", [], []
+    err, gens = _mul_table_ok(table)
+    if err:
+        return f"target not a group: {err}", [], []
+    if kind == "finite":
+        return _finite_map_error(hom, source, table), table, gens
+    return None, table, gens
+
+
+def _finite_map_error(hom: dict, source: dict, table: list[list[int]]) -> str | None:
+    """The first failure of a finite hom's map onto a checked target table."""
+    src = source["table"]
+    mapping = hom.get("map")
+    if not isinstance(mapping, list) or len(mapping) != len(src) or mapping[0] != 0:
+        return "map shape wrong"
+    if any(type(m) is not int or not 0 <= m < len(table) for m in mapping):
+        return "map entry out of range"
+    # row by row: map(x*y) over all y against map(x)*map(y)
+    for x, row in enumerate(src):
+        image_row = table[mapping[x]]
+        if [mapping[z] for z in row] != [image_row[m] for m in mapping]:
+            y = next(y for y, z in enumerate(row) if mapping[z] != image_row[mapping[y]])
+            return f"not a homomorphism at ({x},{y})"
+    return None
 
 
 def _is_factor_element(f, v, sizes: list[int | None]) -> bool:
@@ -138,10 +155,10 @@ def _map_syllables(word: list[tuple[int, int]], homs: list[dict]) -> list[tuple[
     for f, v in word:
         hom = homs[f]
         if hom["kind"] == "finite":
-            img = hom["map"][v]
-        else:
-            img = v % hom["modulus"]
-        out.append((f, img))
+            v = hom["map"][v]
+        elif hom["kind"] == "infinite_cyclic":
+            v %= hom["modulus"]
+        out.append((f, v))
     return out
 
 
@@ -281,8 +298,24 @@ def _walk_order(word: list[tuple[int, int]], graph: dict) -> int:
 def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     """Recompute every claim of a certificate from raw data.
 
+    Each factor hom names its target table in one of three ways (schema 3,
+    the engine's ``Certificate``):
+
+    - ``{"kind": "identity"}``: the instance's factor table, which must be
+      a group table with identity 0; there is no map to check;
+    - ``{"kind": "infinite_cyclic", "modulus": m}``: Z/m, which the
+      verifier builds itself (1 <= m <= ``MAX_MODULUS``), with 1 the image
+      of the generator;
+    - ``{"kind": "finite", "map": [...], "target_table": [...]}``: the
+      carried table, checked as a group table, and the map, checked as a
+      homomorphism from the instance's factor table onto it.
+
+    Schema-1 and schema-2 certificates carry every hom as ``finite`` or as
+    a modulus hom with a table; the same rule reads them, and a modulus
+    hom's carried table is ignored.
+
     The witness action is the regular action of the direct product of the
-    homs' target tables, which the certificate leaves implicit, disjoint-union
+    two target tables, which the certificate leaves implicit, disjoint-union
     its component graphs.  Validates the factor homomorphisms and every
     component graph, maps and reduces each original target through an
     independent code path, recomputes its order as the lcm of its order in
@@ -324,22 +357,22 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
 
     if len(homs) != 2:
         return fail("need exactly two factor homomorphisms")
-    hom_gens = []
+    hom_tables, hom_gens = [], []
     for f, hom in enumerate(homs):
-        err, gens = _hom_ok(hom, factors[f])
+        err, table, gens = _hom_ok(hom, factors[f])
         if err:
             return fail(f"factor hom {f}: {err}")
+        hom_tables.append(table)
         hom_gens.append(gens)
     report.checks.append("factor homomorphisms are valid")
 
-    # a checked finite hom maps each element of its source
-    sizes = [len(hom["map"]) if hom["kind"] == "finite" else None for hom in homs]
+    # each hom has been checked against its factor's type
+    sizes = [len(src["table"]) if src["type"] == "finite" else None for src in factors[:2]]
     for i, word in enumerate(raw_targets):
         for f, v in word:
             if not _is_factor_element(f, v, sizes):
                 return fail(f"target {i}: syllable {[f, v]!r} is not a factor element")
 
-    hom_tables = [hom["target_table"] for hom in homs]
     mapped = [
         _reduce(_map_syllables(word, homs), hom_tables) for word in raw_targets
     ]

@@ -361,6 +361,9 @@ def test_criterion_10_theorem3_branches():
             assert len(set(values)) == len(values), name
             for comp in cert.components:
                 assert comp.graph.vcount <= 10 ** 5, name
+            # the implicit factor product action, on the homs' target groups
+            ga, gb = (hom.target for hom in cert.factor_homs)
+            assert ga.n * gb.n <= 10 ** 5, name
             data = cert.to_json()
             data["verified"] = True
             assert verify_certificate(instance_to_json(inst), data).verdict, name

@@ -1,8 +1,13 @@
+import contextlib
 import functools
+import io
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ordersep import cli, pipeline
 from ordersep.cli import _build_parser, _parse_args, run_cli
@@ -10,7 +15,7 @@ from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
 from ordersep.errors import ParseError
 from ordersep.groupcore import cyclic_group
 
-from helpers import TEN_TARGETS, z2z3_syllables, z500_loop
+from helpers import TEN_TARGETS, bench_finite_tables, z2z3_syllables, z500_loop
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -32,6 +37,15 @@ def write(tmp_path, name, data):
     path = tmp_path / name
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def quiet(argv):
+    """``run_cli(argv)``'s exit code and standard output, with nothing
+    printed (a hypothesis test cannot take the capsys fixture)."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = run_cli(argv)
+    return code, out.getvalue()
 
 
 TRIPLE = [[[0, 1]], [[1, 1]], [[0, 1], [1, 1]]]
@@ -165,6 +179,80 @@ class TestVerifyCommand:
         assert run_cli(["verify", inst, tampered]) == 4
 
 
+def _finite_hom(cert, mapping):
+    # hom 0 of a Z/2*Z/3 certificate is the identity, which carries no map:
+    # write it out as a finite hom onto Z/2 with the given map
+    assert cert["factor_homs"][0] == {"kind": "identity"}
+    cert["factor_homs"][0] = {"kind": "finite", "map": mapping, "target_table": Z2}
+
+
+class TestRoundTrip:
+    """What ``separate`` writes, ``verify`` accepts: the files a user holds
+    are the instance as written and the certificate, whatever kind of hom
+    each factor takes."""
+
+    FACTORS = {
+        **{f"Z{n}": [[(i + j) % n for j in range(n)] for i in range(n)] for n in range(2, 7)},
+        "Klein": [[i ^ j for j in range(4)] for i in range(4)],
+        "S3": bench_finite_tables()["S3"],
+        "Z": None,
+    }
+
+    @staticmethod
+    def relabelled(table, label):
+        # label fixes the identity 0
+        out = [[0] * len(table) for _ in table]
+        for i, row in enumerate(table):
+            for j, k in enumerate(row):
+                out[label[i]][label[j]] = label[k]
+        return out
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_verify_accepts_what_separate_writes(self, data):
+        names = sorted(self.FACTORS)
+        pair = [data.draw(st.sampled_from(names)) for _ in range(2)]
+        factors, values = [], []
+        for name in pair:
+            table = self.FACTORS[name]
+            if table is None:
+                factors.append({"type": "infinite_cyclic"})
+                values.append(st.integers(-3, 3))
+            else:
+                label = [0, *data.draw(st.permutations(range(1, len(table))))]
+                factors.append({"type": "finite", "table": self.relabelled(table, label)})
+                values.append(st.integers(0, len(table) - 1))
+        syllable = st.integers(0, 1).flatmap(lambda f: st.tuples(st.just(f), values[f]))
+        words = st.lists(syllable.map(list), max_size=4)
+        targets = data.draw(st.lists(words, min_size=1, max_size=3))
+        with tempfile.TemporaryDirectory() as tmp:
+            inst = write(Path(tmp), "inst.json", {"factors": factors, "targets": targets})
+            out = Path(tmp) / "cert.json"
+            argv = ["separate", inst, "--out", str(out), "--max-vertices", "5000"]
+            if quiet(argv)[0] != 0:
+                return
+            code, report = quiet(["verify", inst, str(out)])
+            assert code == 0
+            assert json.loads(report)["orders"] == json.loads(out.read_text())["orders"]
+
+    def test_identity_off_label_zero_exits_5(self, tmp_path, capsys):
+        # Z/3 with its identity at label 1: relabelling the table but not the
+        # syllables would read the target a*g as a
+        data = instance_z2z3([[[0, 1], [1, 1]], [[0, 1], [1, 0], [0, 1], [1, 2]]])
+        data["factors"][1]["table"] = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+        inst = write(tmp_path, "inst.json", data)
+        cert = write(tmp_path, "cert.json", {
+            "schema": 3, "factor_homs": [{"kind": "identity"}] * 2, "components": [],
+            "orders": {"0": 2, "1": 3}, "verified": True,
+        })
+        for argv in (["separate", inst, "--out", str(tmp_path / "c.json")], ["verify", inst, cert]):
+            assert run_cli(["--json", *argv]) == 5
+            assert json.loads(capsys.readouterr().err) == {
+                "error": "ParseError", "detail": "factor 1: the identity is not element 0"
+            }
+        assert not (tmp_path / "c.json").exists()
+
+
 class TestMalformedCertificate:
     """``verify`` answers malformed certificate data with a failing report
     and exit 4, never an exception.  The certificate's one component is the
@@ -173,8 +261,8 @@ class TestMalformedCertificate:
     @pytest.mark.parametrize(
         "tamper, message",
         [
-            (lambda c: c["factor_homs"][0].update(map=[0, 5]), "factor hom 0: map entry out of range"),
-            (lambda c: c["factor_homs"][0].update(map=[0, "x"]), "factor hom 0: map entry out of range"),
+            (lambda c: _finite_hom(c, [0, 5]), "factor hom 0: map entry out of range"),
+            (lambda c: _finite_hom(c, [0, "x"]), "factor hom 0: map entry out of range"),
             (lambda c: c["components"][0].pop("graph"), "component 0: missing graph"),
             (lambda c: c["factor_homs"][1].pop("kind"), "factor hom 1: unknown hom kind None"),
             (lambda c: c["orders"].update({"0": 2.9}), "target 0: claimed order 2.9 is not an integer"),

@@ -97,6 +97,15 @@ class TestValidateGroup:
         assert all(g.mul(0, x) == x == g.mul(x, 0) for x in g.elements())
         assert sorted(element_order(g, x) for x in g.elements()) == [1, 3, 3]
 
+    def test_cyclic_group_matches_validate_group(self):
+        # cyclic_group builds Z/n without validating it
+        for n in range(1, 65):
+            built = cyclic_group(n)
+            checked = validate_group([[(i + j) % n for j in range(n)] for i in range(n)])
+            assert (built.n, built.table, built.inv, built.gens) == (
+                checked.n, checked.table, checked.inv, checked.gens
+            ), n
+
     def test_associativity_violation(self):
         # a Latin square with two-sided identity that is not a group
         table = [

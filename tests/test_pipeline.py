@@ -178,7 +178,7 @@ class TestReduceFactors:
         monkeypatch.setattr(pipeline, "cyclic_group", counted)
         inst = Instance(zz5, [NormalForm(((0, -1),)), NormalForm(((1, 2),)), NormalForm(((0, -5),))], mode)
         cert = separate(inst)
-        assert cert.factor_homs[0]["modulus"] == 10
+        assert cert.factor_homs[0].modulus == 10
         assert [n for n in built if n > 1] == [10]
         assert verified(inst, cert).verdict
 
@@ -799,6 +799,28 @@ class TestAssemble:
         for i, w in enumerate([ABAB2, power(AB, 6, f23)]):
             on_comps = [word_order(c.graph, w) for c in cert.components]
             assert cert.orders[i] == math.lcm(product_order(w, f23), *on_comps)
+
+    def test_homs_carry_only_what_the_instance_leaves_open(self, f23, zz3, klein, z3):
+        # identity and modulus homs carry no table; a proper quotient and the
+        # trivial retraction carry their map and target table
+        X, X3 = NormalForm(((0, 1),)), NormalForm(((0, 3),))
+        cases = [
+            (Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB]),
+             [{"kind": "identity"}, {"kind": "identity"}]),
+            (Instance(zz3, [X, NormalForm((B,)), NormalForm(((0, 1), B))]),
+             [{"kind": "infinite_cyclic", "modulus": 2}, {"kind": "identity"}]),
+            (Instance(zz3, [X, X3, NormalForm((B,))], "theorem3"),
+             [{"kind": "infinite_cyclic", "modulus": 6},
+              {"kind": "finite", "map": [0, 0, 0], "target_table": [[0]]}]),
+            (Instance(finite_factors(klein, z3),
+                      [NormalForm(((0, 1),)), NormalForm(((0, 2),)), NormalForm((B,))]),
+             [{"kind": "finite", "map": [0, 0, 1, 1], "target_table": [[0, 1], [1, 0]]},
+              {"kind": "identity"}]),
+        ]
+        for inst, homs in cases:
+            cert = separate(inst)
+            assert cert.to_json()["factor_homs"] == homs
+            assert verified(inst, cert).verdict
 
 
 def _product_order_groups():

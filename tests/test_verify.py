@@ -19,6 +19,7 @@ from ordersep.verify import (
 from ordersep.words import FactorSpec, Factors, NormalForm, finite_factors
 
 from helpers import (
+    bench_finite_tables,
     first_non_associative_triple,
     law_tampered_graph,
     random_loop_table,
@@ -40,9 +41,26 @@ def make_cert(inst):
     return data
 
 
-def with_base(data):
-    """``data`` as a schema-1 certificate: the factor product action, which
-    schema 2 leaves implicit, listed as component 0."""
+def explicit_homs(inst_data, data):
+    """``data`` with its homs written out as a schema-2 certificate wrote
+    them: an identity hom as a finite hom with the identity map and the
+    factor's table, and a modulus hom with its Z/m table."""
+    homs = []
+    for factor, hom in zip(inst_data["factors"], data["factor_homs"]):
+        if hom["kind"] == "identity":
+            n = len(factor["table"])
+            hom = {"kind": "finite", "map": list(range(n)), "target_table": copy.deepcopy(factor["table"])}
+        elif hom["kind"] == "infinite_cyclic":
+            hom = {**hom, "target_table": [list(row) for row in cyclic_group(hom["modulus"]).table]}
+        homs.append(copy.deepcopy(hom))
+    return {**data, "schema": 2, "factor_homs": homs}
+
+
+def with_base(inst_data, data):
+    """``data`` as a schema-1 certificate: its homs written out
+    (``explicit_homs``) and the factor product action, which schema 2 and 3
+    leave implicit, listed as component 0."""
+    data = explicit_homs(inst_data, data)
     groups = [validate_group(hom["target_table"]) for hom in data["factor_homs"]]
     base = {
         "type": "graph", "prime": None, "note": "factor product action",
@@ -80,7 +98,7 @@ class TestVerifyCertificate:
 
     def test_freeness_defect_fails(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
-        data = with_base(make_cert(inst))
+        data = with_base(instance_to_json(inst), make_cert(inst))
         graph = data["components"][0]["graph"]
         # redirect one edge onto its own start: freeness violation
         graph["action"][0][0][0] = 0
@@ -99,7 +117,7 @@ class TestVerifyCertificate:
 
     def test_broken_hom_fails(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
-        data = make_cert(inst)
+        data = explicit_homs(instance_to_json(inst), make_cert(inst))
         data["factor_homs"][0]["map"] = [1, 0]  # does not fix the identity
         report = verify_certificate(instance_to_json(inst), data)
         assert not report.verdict
@@ -107,7 +125,7 @@ class TestVerifyCertificate:
 
     def test_trivializing_hom_changes_orders(self, f23):
         inst = Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB])
-        data = make_cert(inst)
+        data = explicit_homs(instance_to_json(inst), make_cert(inst))
         data["factor_homs"][0]["map"] = [0, 0]  # a valid hom, but not the used one
         report = verify_certificate(instance_to_json(inst), data)
         assert not report.verdict
@@ -142,10 +160,10 @@ def _triple():
 
 
 def _failures_after(tamper):
-    inst = _triple()
-    data = with_base(make_cert(inst))
+    inst = instance_to_json(_triple())
+    data = with_base(inst, make_cert(_triple()))
     tamper(data)
-    return verify_certificate(instance_to_json(inst), data).failures
+    return verify_certificate(inst, data).failures
 
 
 def _set(path, value):
@@ -237,9 +255,11 @@ class TestVerifierMessages:
         assert _mul_table_ok(table)[0] == "associativity fails at ({},{},{})".format(*triple)
 
     def test_one_generating_sequence_per_table(self, monkeypatch):
-        # the hom check hands its sequence to the graph check: one walk each
+        # the hom check hands its sequence to the graph check: one walk for
+        # the identity hom's Z/3 table, none for the Z/2 the verifier builds
         inst, cert = _zxz3_certificate()
-        tables = [tuple(map(tuple, hom["target_table"])) for hom in cert["factor_homs"]]
+        assert [hom["kind"] for hom in cert["factor_homs"]] == ["infinite_cyclic", "identity"]
+        tables = [tuple(map(tuple, inst["factors"][1]["table"]))]
         walked = []
         real = verify._generating_sequence
 
@@ -267,7 +287,7 @@ def _engine_certificates():
 ENGINE_CERTIFICATES = _engine_certificates()
 # the same certificates in schema 1: each lists the factor product action as
 # component 0, so each has a graph to tamper with
-SCHEMA1_CERTIFICATES = [(inst, with_base(cert)) for inst, cert in ENGINE_CERTIFICATES]
+SCHEMA1_CERTIFICATES = [(inst, with_base(inst, cert)) for inst, cert in ENGINE_CERTIFICATES]
 
 
 class TestTamperedActions:
@@ -344,14 +364,19 @@ def _zxz3_certificate():
     return instance_to_json(inst), make_cert(inst)
 
 
-MUTABLE_CERTIFICATES = ENGINE_CERTIFICATES + SCHEMA1_CERTIFICATES + [_zxz3_certificate()]
+ZXZ3_CERTIFICATE = _zxz3_certificate()
+MUTABLE_CERTIFICATES = ENGINE_CERTIFICATES + SCHEMA1_CERTIFICATES + [
+    ZXZ3_CERTIFICATE, (ZXZ3_CERTIFICATE[0], with_base(*ZXZ3_CERTIFICATE)),
+]
 
 
 def _checked_fields(cert: dict) -> list[tuple[dict, str]]:
-    """(container, key) of every claimed order and checked hom and graph field."""
+    """(container, key) of every claimed order and checked hom and graph
+    field; a modulus hom's table, which schema 1 and 2 carry, is not read."""
     fields = [(cert["orders"], k) for k in sorted(cert["orders"])]
     for hom in cert["factor_homs"]:
-        fields += [(hom, k) for k in ("map", "modulus", "target_table") if k in hom]
+        checked = ("modulus",) if hom["kind"] == "infinite_cyclic" else ("map", "target_table")
+        fields += [(hom, k) for k in checked if k in hom]
     for comp in cert["components"]:
         fields += [(comp["graph"], k) for k in ("vcount", "factors", "action")]
     return fields
@@ -408,16 +433,24 @@ class TestImplicitProduct:
 
     def test_zero_component_certificate_verifies(self):
         inst, cert = ENGINE_CERTIFICATES[0]
-        assert cert["schema"] == 2 and cert["components"] == []
+        assert cert["schema"] == 3 and cert["components"] == []
         report = verify_certificate(inst, cert)
         assert report.verdict and report.orders == {0: 2, 1: 3, 2: 6}
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_tampered_target_table_fails(self, data):
-        inst, cert = data.draw(st.sampled_from(ZERO_COMPONENT_CERTIFICATES))
-        cert = copy.deepcopy(cert)
-        table = cert["factor_homs"][data.draw(st.integers(0, 1))]["target_table"]
+        # the table an identity hom reads from the instance, or a finite
+        # hom's carried table (each identity hom written out as one)
+        inst, cert = copy.deepcopy(data.draw(st.sampled_from(ZERO_COMPONENT_CERTIFICATES)))
+        f = data.draw(st.sampled_from(
+            [f for f, hom in enumerate(cert["factor_homs"]) if hom["kind"] == "identity"]
+        ))
+        if data.draw(st.booleans()):
+            table = inst["factors"][f]["table"]
+        else:
+            cert = explicit_homs(inst, cert)
+            table = cert["factor_homs"][f]["target_table"]
         row = table[data.draw(st.integers(0, len(table) - 1))]
         y = data.draw(st.integers(0, len(row) - 1))
         row[y] = data.draw(st.integers(0, len(row) - 1).filter(lambda v: v != row[y]))
@@ -435,12 +468,76 @@ class TestImplicitProduct:
         assert report.failures[0].startswith(f"target {key}: claimed order")
 
     def test_schema1_certificate_gives_the_same_orders(self):
+        # and the schema-2 form: every hom written out
         for inst, cert in ENGINE_CERTIFICATES + [_zxz3_certificate()]:
-            implicit = verify_certificate(inst, cert)
-            explicit = verify_certificate(inst, with_base(cert))
+            reports = [
+                verify_certificate(inst, form)
+                for form in (cert, explicit_homs(inst, cert), with_base(inst, cert))
+            ]
             claimed = {int(k): v for k, v in cert["orders"].items()}
-            assert implicit.verdict and explicit.verdict
-            assert implicit.orders == explicit.orders == claimed
+            assert all(report.verdict for report in reports)
+            assert all(report.orders == claimed for report in reports)
+
+
+class TestHomKinds:
+    """Schema 3 writes a hom only as far as the instance leaves it open: an
+    identity hom reads the instance's factor table, and a modulus hom's Z/m
+    is built by the verifier, whatever table the certificate carries."""
+
+    def test_forged_modulus_table_fails(self):
+        # Z*Z/3 with targets x and x^2: the order of x^2 divides that of x,
+        # but S3 as "Z/6" sends 1 to an involution and 2 to a 3-cycle
+        s3 = bench_finite_tables()["S3"]
+        factors = Factors((FactorSpec("infinite_cyclic"), FactorSpec("finite", cyclic_group(3))))
+        inst = instance_to_json(Instance(factors, [NormalForm(((0, 1),)), NormalForm(((0, 2),))]))
+        forged = {
+            "schema": 3,
+            "factor_homs": [
+                {"kind": "infinite_cyclic", "modulus": 6, "target_table": s3},
+                {"kind": "finite", "map": [0, 0, 0], "target_table": [[0]]},
+            ],
+            "components": [],
+            "orders": {"0": 2, "1": 3},
+            "verified": True,
+        }
+        report = verify_certificate(inst, forged)
+        assert report.failures == ["target 0: claimed order 2 != recomputed 6"]
+        assert report.orders == {0: 6, 1: 3}
+
+    def test_carried_modulus_table_is_not_read(self):
+        inst, cert = _zxz3_certificate()
+        cert = explicit_homs(inst, cert)
+        report = verify_certificate(inst, cert)
+        cert["factor_homs"][0]["target_table"] = "not a table"
+        tampered = verify_certificate(inst, cert)
+        assert report.verdict and tampered.verdict and tampered.orders == report.orders
+
+    @pytest.mark.parametrize("modulus", [0, -2, verify.MAX_MODULUS + 1, True, 2.0, "2", None])
+    def test_modulus_out_of_range_fails(self, modulus):
+        inst, cert = _zxz3_certificate()
+        cert = copy.deepcopy(cert)
+        cert["factor_homs"][0]["modulus"] = modulus
+        assert verify_certificate(inst, cert).failures == [
+            f"factor hom 0: modulus {modulus!r} not in 1..{verify.MAX_MODULUS}"
+        ]
+
+    def test_identity_hom_on_an_infinite_factor_fails(self):
+        inst, cert = _zxz3_certificate()
+        cert = copy.deepcopy(cert)
+        cert["factor_homs"][0] = {"kind": "identity"}
+        assert verify_certificate(inst, cert).failures == [
+            "factor hom 0: identity hom on non-finite factor"
+        ]
+
+    def test_identity_hom_needs_identity_at_zero(self):
+        # Z/3 with its identity at label 1: an identity hom reads the
+        # instance's labels, so the table fails as a target
+        inst, cert = ENGINE_CERTIFICATES[0]
+        inst = copy.deepcopy(inst)
+        inst["factors"][1]["table"] = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+        assert verify_certificate(inst, cert).failures == [
+            "factor hom 1: target not a group: identity is not element 0"
+        ]
 
 
 class TestOracle:
