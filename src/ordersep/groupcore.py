@@ -2,7 +2,8 @@
 iterated wreath p-groups used as search targets.
 
 Elements of a :class:`FiniteGroup` are the indices ``0..n-1`` with 0 the
-identity.  Tables whose identity sits elsewhere are relabelled on load.
+identity.  A table whose identity sits elsewhere is refused on load: the
+syllables and actions that come with it use its labels.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
-from .errors import BudgetExceeded, NotAGroup, NotNormal
+from .errors import BudgetExceeded, NotAGroup, NotNormal, ParseError
 
 NORMAL_SUBGROUP_BOUND = 128
 
@@ -168,12 +169,12 @@ def _find_identity(table: Sequence[Sequence[int]]) -> int:
 def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
     """Validate a multiplication table and derive inverses and generators.
 
-    The identity is relabelled to index 0 if it sits elsewhere.  Associativity
-    is checked exactly at every size by Light's test on a greedy generating
-    set S (Clifford and Preston, *The Algebraic Theory of Semigroups*, vol. 1,
-    1961): the elements g with (x*g)*y = x*(g*y) for all x, y are
-    closed under products, so checking g in S covers them all in
-    O(|S| n^2).  A failure is named by the first failing triple in order.
+    A Latin square whose identity is not element 0 raises ``ParseError``,
+    as its labels are read as given.  Associativity is checked exactly at
+    every size by Light's test on a greedy generating set S (Clifford and
+    Preston, *The Algebraic Theory of Semigroups*, vol. 1, 1961): the
+    elements g with (x*g)*y = x*(g*y) for all x, y are closed under
+    products, so checking g in S covers them all in O(|S| n^2).  A failure is named by the first failing triple in order.
     """
     n = len(table)
     if n == 0:
@@ -185,22 +186,14 @@ def validate_group(table: Sequence[Sequence[int]]) -> FiniteGroup:
             if type(v) is not int or not (0 <= v < n):  # bool is a subclass of int
                 raise NotAGroup(f"entry out of range in row {i}")
 
-    e = _find_identity(table)
-    if e != 0:
-        relabel = list(range(n))
-        relabel[0], relabel[e] = e, 0
-        inverse_label = relabel
-        table = [
-            [inverse_label[table[relabel[i]][relabel[j]]] for j in range(n)]
-            for i in range(n)
-        ]
-
     table = tuple(tuple(row) for row in table)
     for i, (row, column) in enumerate(zip(table, zip(*table))):
         if len(set(row)) != n:
             raise NotAGroup(f"row {i} not a permutation")
         if len(set(column)) != n:
             raise NotAGroup(f"column {i} not a permutation")
+    if _find_identity(table) != 0:
+        raise ParseError("the identity is not element 0")
 
     # rows are permutations, so each holds 0 exactly once
     inv = [row.index(0) for row in table]

@@ -763,7 +763,6 @@ def lemma3_separate(
     *,
     seed: int = 0,
     config: RunConfig = RunConfig(),
-    _repair: bool = True,
 ) -> SeparationResult:
     """Pairwise distinct orders, all coprime to ``pi``, for Cartesian words
     lying in pairwise non-conjugate cyclic subgroups.
@@ -771,7 +770,11 @@ def lemma3_separate(
     Recursive: pick a fresh prime p, declose, equalize until the maximal
     cycle lengths split the targets into a strictly-larger-order class and
     the rest, then recurse on both sides with growing prime exclusions.  The
-    final orders are recomputed across all components and checked.
+    final orders are recomputed across all components and checked as an
+    invariant: every component's orders on Cartesian words are powers of
+    its prime, so the split component alone sets the p-part, beta's primes
+    lie in rho, and alpha's primes lie outside pi | {p} | rho.  A failed
+    check raises ``PostconditionFailed``.
     """
     pi = frozenset(pi)
     _require_cartesian_targets(targets, factors)
@@ -845,14 +848,7 @@ def lemma3_separate(
             f"equalization failed in all {LEMMA3_RETRIES} attempts; last: {last_reason}"
         )
 
-    ok = _verify_lemma3(result, targets, pi)
-    if not ok and _repair:
-        transcript.append({"stage": "repair", "exclude": sorted(pi | {p})})
-        return lemma3_separate(
-            targets, pi | {p}, factors,
-            seed=sub_seed(seed, "l3-repair"), config=config, _repair=False,
-        )
-    if not ok:
+    if not _verify_lemma3(result, targets, pi):
         raise PostconditionFailed("orders not separated or not coprime to the exclusion set")
     return result
 

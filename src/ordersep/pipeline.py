@@ -1,8 +1,7 @@
 """Instance-level orchestration: hypothesis checks, factor reduction, class
 decomposition of hyperbolic targets, the finite stage with its distinctness
 repair loop, and certificate assembly.  One factor-hom search,
-``reduce_factors``, serves every target shape except two factor elements on
-one side and one on the other, which ``run_theorem3`` handles itself.
+``reduce_factors``, serves every target shape and every mode.
 """
 
 from __future__ import annotations
@@ -67,6 +66,10 @@ SMALL_DRAWS = 16  # random fiber assignments per size
 
 @dataclass
 class Instance:
+    """A free product, its targets and a run configuration.  Every mode takes
+    the same route; theorem3 mode, the paper's mixed case, admits at most
+    three targets."""
+
     factors: Factors
     targets: list[NormalForm]
     mode: str = "auto"
@@ -95,8 +98,8 @@ class Certificate:
     - ``{"kind": "infinite_cyclic", "modulus": m}``: Z onto Z/m, 1 to 1,
       so the modulus determines the target;
     - ``{"kind": "finite", "map": [...], "target_table": [...]}``: any other
-      finite hom (a proper quotient, or the trivial retraction), with the
-      image of each element and the target's table.
+      finite hom (a proper quotient), with the image of each element and
+      the target's table.
     """
 
     factor_homs: tuple[FactorHom, FactorHom]
@@ -143,11 +146,10 @@ def parse_factors(data: list) -> Factors:
         if kind == "finite":
             rows = json_list(entry.get("table"), "factor table")
             table = [json_list(row, "factor table row") for row in rows]
-            group = validate_group(table)
-            # a certificate's identity hom and every syllable read the
-            # table's own labels, so a relabelled table is refused
-            if group.table != tuple(map(tuple, table)):
-                raise ParseError(f"factor {len(specs)}: the identity is not element 0")
+            try:
+                group = validate_group(table)
+            except ParseError as exc:  # the identity is not element 0
+                raise ParseError(f"factor {len(specs)}: {exc}") from exc
             specs.append(FactorSpec("finite", group))
         elif kind == "infinite_cyclic":
             specs.append(FactorSpec("infinite_cyclic"))
@@ -238,37 +240,22 @@ def classify_targets(reduced: list[NormalForm]) -> tuple[list[int], list[int], l
 # ---------------------------------------------------------------------------
 
 def _lambda_sets(
-    spec: FactorSpec, factor_index: int, reduced: list[NormalForm],
-    factor_targets: list[int], gamma: list[int],
-) -> tuple[list[int], list[int]]:
-    """(Lambda, Lambda') for one factor.  Lambda holds the identity, the
-    factor targets' values, the hyperbolic targets' syllables on this factor
-    and their pairwise quotients: each nontrivial one must stay alive.
-    Lambda' is the identity and the distinct factor-target values, whose
-    images must get pairwise distinct orders; ``check_hypotheses`` has made
-    those values pairwise non-conjugate up to inversion."""
-    lam: list[int] = [0]
-    def add(v: int) -> None:
-        if v not in lam:
-            lam.append(v)
-
+    factor_index: int, reduced: list[NormalForm], factor_targets: list[int],
+    gamma: list[int], keep_alive: bool,
+) -> tuple[set[int], list[int]]:
+    """(Lambda, Lambda') for one factor.  Lambda holds the hyperbolic
+    targets' syllables on this factor: none may die.  Lambda' holds the
+    distinct factor-target values, whose images must get pairwise distinct
+    orders; ``check_hypotheses`` has made those values pairwise
+    non-conjugate up to inversion.  With ``keep_alive``, Lambda' also holds
+    the identity, so no factor target dies either."""
+    lam_prime: list[int] = [0] if keep_alive else []
     for i in factor_targets:
         w = reduced[i]
-        add(w.syllables[0][1] if len(w) == 1 else 0)
-    lam_prime = list(lam)
-    omega: list[int] = []
-    for i in gamma:
-        for f, v in reduced[i].syllables:
-            if f == factor_index and v not in omega:
-                omega.append(v)
-    for v in omega:
-        add(v)
-    for vj in omega:
-        for vk in omega:
-            if spec.is_finite:
-                add(spec.group.mul(vj, spec.group.inv[vk]))
-            else:
-                add(vj - vk)
+        v = w.syllables[0][1] if len(w) == 1 else 0
+        if v not in lam_prime:
+            lam_prime.append(v)
+    lam = {v for i in gamma for f, v in reduced[i].syllables if f == factor_index}
     return lam, lam_prime
 
 
@@ -305,11 +292,10 @@ def _hom_order(hom: FactorHom, value: int) -> int:
     return element_order(hom.target, hom.apply(value))
 
 
-def _factor_feasible(hom: FactorHom, lam: list[int], lam_prime: list[int]) -> bool:
-    # (b): no nontrivial Lambda element dies
-    for v in lam:
-        if v != 0 and hom.apply(v) == 0:
-            return False
+def _factor_feasible(hom: FactorHom, lam: set[int], lam_prime: list[int]) -> bool:
+    # (b): no Lambda element dies
+    if any(hom.apply(v) == 0 for v in lam):
+        return False
     # (a): Lambda' images have pairwise distinct orders
     orders = [_hom_order(hom, v) for v in lam_prime]
     return len(set(orders)) == len(orders)
@@ -400,25 +386,25 @@ def reduce_factors(
     partition: tuple[list[int], list[int], list[int]],
 ) -> tuple[tuple[FactorHom, FactorHom], Factors, list[NormalForm]]:
     """Search factor quotients (or moduli) for what the finite stage cannot
-    repair, then map the targets.  This is the one factor-hom search: every
-    target shape but two factor elements on one side and one on the other
-    comes here.
+    repair, then map the targets.  This is the one factor-hom search, for
+    every target shape.
 
     On the factor product action a factor element's order is the order of
     its image, and no repair round changes that; collisions that involve a
     hyperbolic target are parted by the repair loop.  So the conditions per
-    candidate pair are: (a) on each factor, the identity and the factor
-    targets get pairwise distinct image orders; (b) no nontrivial factor
-    target, hyperbolic syllable or quotient of two syllables on the same
-    factor dies; (c) factor-0 and factor-1 target images have pairwise
-    distinct orders; (d) mapped targets stay pairwise non-conjugate up to
-    inversion and hyperbolic targets keep their syllable count.
+    candidate pair are: (a) on each factor, the factor targets get pairwise
+    distinct image orders; (b) no hyperbolic syllable dies; (c) factor-0 and
+    factor-1 target images have pairwise distinct orders, so at most one
+    target in all gets order 1; (d) mapped targets stay pairwise
+    non-conjugate up to inversion and hyperbolic targets keep their
+    syllable count.
+
+    A first pass also keeps every factor target alive: in (a) the identity
+    counts as one more factor target.  Only when no pair passes it, that is
+    when it raises ``NoFactorHom``, does a second pass let a factor target
+    die.  A ``ModulusBudgetExceeded`` ends the search.
     """
     alpha, beta, gamma = partition
-    lams = [
-        _lambda_sets(inst.factors.spec(0), 0, reduced, alpha, gamma),
-        _lambda_sets(inst.factors.spec(1), 1, reduced, beta, gamma),
-    ]
 
     def try_pair(h0: FactorHom, h1: FactorHom):
         # (c): cross-factor distinctness of factor-target image orders
@@ -447,12 +433,21 @@ def reduce_factors(
                 return None
         return homs, rfactors, mapped
 
-    return _search_hom_pair(
-        inst.factors.specs,
-        MODULUS_BOUND,
-        [lambda h, f=f: _factor_feasible(h, *lams[f]) for f in (0, 1)],
-        try_pair,
-    )
+    for keep_alive in (True, False):
+        lams = [
+            _lambda_sets(0, reduced, alpha, gamma, keep_alive),
+            _lambda_sets(1, reduced, beta, gamma, keep_alive),
+        ]
+        try:
+            return _search_hom_pair(
+                inst.factors.specs,
+                MODULUS_BOUND,
+                [lambda h, lam=lam: _factor_feasible(h, *lam) for lam in lams],
+                try_pair,
+            )
+        except NoFactorHom:
+            if not keep_alive:
+                raise
 
 
 # ---------------------------------------------------------------------------
@@ -732,27 +727,13 @@ def assemble_certificate(
 
 
 # ---------------------------------------------------------------------------
-# theorem drivers
+# entry point
 # ---------------------------------------------------------------------------
 
-def _certify(
-    homs: tuple[FactorHom, FactorHom],
-    rfactors: Factors,
-    mapped: list[NormalForm],
-    inst: Instance,
-    seed_tag: str,
-    transcript: list[dict],
-) -> Certificate:
-    """Separate the targets' images under ``homs`` over the finite quotients
-    ``rfactors`` and bundle the result."""
-    components, orders = _finite_stage(
-        rfactors, mapped, inst.config, sub_seed(inst.config.seed, seed_tag), transcript
-    )
-    return assemble_certificate(homs, components, orders, transcript)
-
-
-def run_theorem12(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
-    reduced = reduced if reduced is not None else check_hypotheses(inst)
+def run_theorem12(inst: Instance) -> Certificate:
+    """Reduce the factors, then separate the targets' images over the finite
+    quotients and bundle the result."""
+    reduced = check_hypotheses(inst)
     transcript: list[dict] = [{"stage": "mode", "value": "theorem12"}]
     homs, rfactors, mapped = reduce_factors(inst, reduced, classify_targets(reduced))
     transcript.append(
@@ -761,95 +742,13 @@ def run_theorem12(inst: Instance, reduced: list[NormalForm] | None = None) -> Ce
             "factor_sizes": [homs[0].target.n, homs[1].target.n],
         }
     )
-    return _certify(homs, rfactors, mapped, inst, "t12", transcript)
-
-
-def _trivial_hom(spec: FactorSpec) -> FactorHom:
-    if spec.is_finite:
-        return FactorHom(
-            kind="finite", target=cyclic_group(1), map=(0,) * spec.group.n, source=spec.group
-        )
-    return FactorHom(kind="infinite_cyclic", target=cyclic_group(1), modulus=1)
-
-
-def run_theorem3(inst: Instance, reduced: list[NormalForm] | None = None) -> Certificate:
-    """Mixed-case entry for up to three targets: two factor elements on one
-    side and one on the other take ``_two_on_one_side``; every other shape
-    goes to ``run_theorem12``."""
-    reduced = reduced if reduced is not None else check_hypotheses(inst)
-    if len(reduced) > 3:
-        raise HypothesisViolation("theorem3 supports at most 3 targets")
-    sides: dict[int, list[int]] = {0: [], 1: []}
-    for i, w in enumerate(reduced):
-        if len(w) == 1:
-            sides[w.syllables[0][0]].append(i)
-    if sorted(map(len, sides.values())) != [1, 2]:
-        return run_theorem12(inst, reduced)
-    return _two_on_one_side(inst, reduced, sides)
-
-
-def _two_on_one_side(
-    inst: Instance,
-    reduced: list[NormalForm],
-    sides: dict[int, list[int]],
-) -> Certificate:
-    """Two nontrivial factor elements on one side and one on the other.  On
-    the factor product action a factor element's order is the order of its
-    image, so homs are picked by image orders alone and certify with no
-    repair.
-
-    The double side takes a quotient giving its two elements distinct
-    orders: with both alive and the other side retracted away, or, failing
-    that, one of them possibly dying and the other side's target keeping an
-    order apart from both.  Both ways let a target die, which
-    ``reduce_factors`` never does.
-    """
-    factors = inst.factors
-    transcript: list[dict] = [{"stage": "mode", "value": "theorem3"}]
-    s = 0 if len(sides[0]) == 2 else 1
-    other = 1 - s
-    i1, i2 = sides[s]
-    v1 = reduced[i1].syllables[0][1]
-    v2 = reduced[i2].syllables[0][1]
-    v3 = reduced[sides[other][0]].syllables[0][1]
-
-    def certificate(hom: FactorHom, other_hom: FactorHom, case: str) -> Certificate:
-        transcript.append({"stage": "case", "value": case})
-        hom, other_hom = _with_table(hom), _with_table(other_hom)
-        homs = (hom, other_hom) if s == 0 else (other_hom, hom)
-        rfactors = finite_factors(homs[0].target, homs[1].target)
-        mapped = [map_word(t, homs, rfactors) for t in reduced]
-        return _certify(homs, rfactors, mapped, inst, "t3c2", transcript)
-
-    # each factor's candidates are built once and re-read by the loops
-    # below (a modulus stream stays lazy)
-    homs_s = _Replay(_candidate_stream(factors.spec(s), MODULUS_BOUND))
-    homs_other = _Replay(_candidate_stream(factors.spec(other), MODULUS_BOUND))
-    for hom in homs_s:
-        o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
-        if o1 == 1 or o2 == 1 or o1 == o2:
-            continue
-        return certificate(
-            hom, _trivial_hom(factors.spec(other)), "two-on-one-side-retraction"
-        )
-    # no quotient keeps both alive apart: let one die and keep the third
-    # target's image order away from both
-    for hom in homs_s:
-        o1, o2 = _hom_order(hom, v1), _hom_order(hom, v2)
-        if o1 == o2:
-            continue
-        for other_hom in homs_other:
-            if _hom_order(other_hom, v3) not in (o1, o2):
-                return certificate(hom, other_hom, "two-on-one-side-quotient")
-    if factors.spec(s).is_finite:
-        raise NoFactorHom("no quotient separates the two same-side elements")
-    raise ModulusBudgetExceeded(f"no modulus found up to {MODULUS_BOUND}")
+    components, orders = _finite_stage(
+        rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t12"), transcript
+    )
+    return assemble_certificate(homs, components, orders, transcript)
 
 
 def separate(inst: Instance) -> Certificate:
-    """Mode dispatch: certificates for the instance's targets."""
-    reduced = check_hypotheses(inst)
-    # theorem3 mode admits at most three targets; auto routes more onward
-    if inst.mode == "theorem12" or len(reduced) > 3:
-        return run_theorem12(inst, reduced)
-    return run_theorem3(inst, reduced)
+    """Certificates for the instance's targets.  Every mode takes the same
+    route; ``Instance`` holds theorem3 mode to at most three targets."""
+    return run_theorem12(inst)

@@ -99,7 +99,9 @@ def _hom_ok(hom: dict, source: dict) -> tuple[str | None, list[list[int]], list[
     Only a ``finite`` hom's table is read from the certificate.  An
     ``identity`` hom's target is the instance's factor table, checked as a
     group here; a modulus hom's is Z/m, built here.  A table that either
-    carries is not read."""
+    carries is not read.  A ``finite`` hom's source, the instance's factor
+    table, is checked as a group too: the homomorphism law alone holds for a
+    trivial map over any table."""
     kind = hom.get("kind")
     if kind == "infinite_cyclic":
         if source.get("type") != "infinite_cyclic":
@@ -112,7 +114,12 @@ def _hom_ok(hom: dict, source: dict) -> tuple[str | None, list[list[int]], list[
         return f"unknown hom kind {kind!r}", [], []
     if source.get("type") != "finite":
         return f"{kind} hom on non-finite factor", [], []
-    table = source.get("table") if kind == "identity" else hom.get("target_table")
+    src = source.get("table")
+    if kind == "finite":
+        err = _mul_table_ok(src)[0] if isinstance(src, list) else "missing table"
+        if err:
+            return f"source not a group: {err}", [], []
+    table = src if kind == "identity" else hom.get("target_table")
     if not isinstance(table, list):
         return "missing target table", [], []
     err, gens = _mul_table_ok(table)

@@ -304,7 +304,8 @@ class TestPromptExits:
     """Inputs outside the budgets exit at once: a finite factor with no
     feasible quotient ends the factor-hom search (exit 2), a Lemma 1 fiber
     over ``max_vertices`` is refused before any draw (exit 3), and a factor
-    table over 64 elements that is not a group is rejected on load (exit 2)."""
+    table over 64 elements that is not a group is rejected on load (exit 2).
+    Klein targets x and y certify at once: a quotient kills one of them."""
 
     KLEIN_Z = [
         {"type": "finite", "table": [[i ^ j for j in range(4)] for i in range(4)]},
@@ -312,14 +313,17 @@ class TestPromptExits:
     ]
     AB = [[0, 1], [1, 1]]
     CASES = {
-        # the Klein targets x, y and the identity cannot get three image orders
         "klein-z-auto": (
-            "separate", {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]], [[1, 2]]]}, 2,
+            "separate", {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]], [[1, 2]]]}, 0,
         ),
         "klein-z-theorem12": (
             "separate",
             {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[1, 1]]], "mode": "theorem12"},
-            2,
+            0,
+        ),
+        # the Klein targets x, y and xy cannot get three image orders
+        "klein-z-three-involutions": (
+            "separate", {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[0, 3]], [[1, 1]]]}, 2,
         ),
         "z500-loop": (
             "separate",
@@ -341,6 +345,12 @@ class TestPromptExits:
         ),
     }
 
+    # the certified cases' orders: x or y dies, and b gets an order apart
+    ORDERS = {
+        "klein-z-auto": {"0": 1, "1": 2, "2": 6, "3": 3},
+        "klein-z-theorem12": {"0": 2, "1": 1, "2": 3},
+    }
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_exits_within_a_second(self, tmp_path, capsys, name):
         command, data, code = self.CASES[name]
@@ -350,6 +360,9 @@ class TestPromptExits:
         start = time.monotonic()
         assert run_cli(argv) == code
         assert time.monotonic() - start < 1.0
+        if code == 0:
+            orders = json.loads((tmp_path / "cert.json").read_text())["orders"]
+            assert orders == self.ORDERS[name]
 
 
 class TestOneLevelParse:
@@ -667,6 +680,17 @@ class TestGraphCommands:
         assert run_cli(["graph", "dot", path]) == 0
         out = capsys.readouterr().out
         assert out.startswith("digraph")
+
+    def test_identity_off_label_zero_exits_5(self, tmp_path, capsys):
+        # the action columns are read by the file's labels, so a table with
+        # its identity elsewhere is refused, not relabelled
+        data = self._base_graph(tmp_path, capsys)
+        data["factors"][1] = [[2, 0, 1], [0, 1, 2], [1, 2, 0]]
+        path = write(tmp_path, "g.json", data)
+        assert run_cli(["--json", "graph", "dot", path]) == 5
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ParseError", "detail": "the identity is not element 0"
+        }
 
     def test_surgery(self, tmp_path, capsys):
         data = {"graph": self._base_graph(tmp_path, capsys), "t": 2, "marks": [[0, 0]]}

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ordersep.errors import BudgetExceeded, NotAGroup, NotNormal
+from ordersep.errors import BudgetExceeded, NotAGroup, NotNormal, ParseError
 from ordersep.groupcore import (
     FactorHom,
     FiniteGroup,
@@ -91,11 +91,11 @@ class TestValidateGroup:
         with pytest.raises(NotAGroup):
             validate_group([[1, 0, 2], [0, 2, 1], [2, 1, 0]])
 
-    def test_relabels_identity_to_zero(self):
-        # Z/3 written with its identity at index 2
-        g = validate_group([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
-        assert all(g.mul(0, x) == x == g.mul(x, 0) for x in g.elements())
-        assert sorted(element_order(g, x) for x in g.elements()) == [1, 3, 3]
+    def test_refuses_identity_off_zero(self):
+        # Z/3 written with its identity at index 2: elements are read by
+        # their labels, so the table is refused, not relabelled
+        with pytest.raises(ParseError, match="the identity is not element 0"):
+            validate_group([[1, 2, 0], [2, 0, 1], [0, 1, 2]])
 
     def test_cyclic_group_matches_validate_group(self):
         # cyclic_group builds Z/n without validating it

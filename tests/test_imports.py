@@ -12,7 +12,8 @@ the CLI loads nothing outside the standard library and the package.  Every
 ``RunConfig`` field is read by some module besides ``config``, so no knob
 is a no-op, and it holds only the three values a caller sets.  The
 factor-hom search ``_search_hom_pair`` has one user, ``reduce_factors``,
-so a second hom search cannot come back unnoticed; likewise only
+and is the only reader of the hom candidates, ``_candidate_stream``, so a
+second hom search cannot come back unnoticed; likewise only
 ``_finite_stage`` applies the repair acceptance rule and raises
 ``RepairBudgetExceeded``, and no function takes an acceptance callback.
 The factor product action stays implicit: ``pipeline`` never names
@@ -161,6 +162,9 @@ def test_one_factor_hom_search():
     assert _sites(lambda node: _name(node) == "_search_hom_pair") == [
         ("pipeline.py", "reduce_factors")
     ]
+    assert set(_sites(lambda node: _name(node) == "_candidate_stream")) == {
+        ("pipeline.py", "_search_hom_pair")
+    }
 
 
 def test_one_repair_acceptance_loop():

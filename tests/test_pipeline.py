@@ -30,7 +30,6 @@ from ordersep.pipeline import (
     parse_instance,
     product_order,
     reduce_factors,
-    run_theorem3,
     run_theorem12,
     separate,
 )
@@ -166,8 +165,7 @@ class TestReduceFactors:
     def test_no_table_for_an_untried_modulus(self, zz5, monkeypatch, mode):
         # a^-1 and a^-5 need a modulus giving them distinct orders other
         # than 1, and 10 is the first; moduli 2..9 are rejected by their
-        # images' orders alone (auto takes the two-on-one-side route, whose
-        # retraction builds the trivial Z/1)
+        # images' orders alone, in every mode
         built = []
         real = pipeline.cyclic_group
 
@@ -370,8 +368,8 @@ class TestSyllableOrders:
 
 
 class TestOneSearch:
-    """Shapes other than two factor elements on one side take the one
-    factor-hom search, whatever the mode."""
+    """Every target shape takes the one factor-hom search, whatever the
+    mode."""
 
     @pytest.mark.parametrize(
         "factors, targets",
@@ -380,8 +378,12 @@ class TestOneSearch:
             ("f23", [[], [A], [B]]),
             ("zz3", [[(0, 1)], [B], [(0, 1), B]]),
             ("zz3", [[], [(0, 2)], [B]]),
+            ("zz3", [[(0, 1)], [(0, 3)], [B]]),
         ],
-        ids=["ab-hyperbolic", "identity-finite", "infinite-hyperbolic", "identity-infinite"],
+        ids=[
+            "ab-hyperbolic", "identity-finite", "infinite-hyperbolic", "identity-infinite",
+            "two-on-one-side",
+        ],
     )
     def test_theorem3_and_theorem12_agree(self, request, factors, targets):
         factors = request.getfixturevalue(factors)
@@ -397,13 +399,8 @@ class TestOneSearch:
 KLEIN = validate_group([[i ^ j for j in range(4)] for i in range(4)])
 
 # (case, targets) of the sweep below where the oracle finds a witness and
-# the engine raises NoFactorHom.  Two of the targets are distinct Klein
-# involutions, and no factor target lies on the other side: only a quotient
-# that kills one involution parts their orders, while the factor-hom search
-# keeps every factor target alive.
-KNOWN_DIVERGENCES = {
-    "klein*z3": [(38, [[(1, 2), (0, 3)], [(1, 1), (0, 3), (1, 2)], [(0, 2)]])],
-}
+# the engine raises NoFactorHom or runs out of a budget
+KNOWN_DIVERGENCES: dict[str, list] = {}
 
 
 class TestOracleSweep:
@@ -414,6 +411,7 @@ class TestOracleSweep:
     PAIRS = {
         "z3*z4": (cyclic_group(3), cyclic_group(4)),
         "klein*z3": (KLEIN, cyclic_group(3)),
+        "s3*z5": (two_generator_groups()["S3"], cyclic_group(5)),
         "z4*z5": (cyclic_group(4), cyclic_group(5)),
         "z5*z7": (cyclic_group(5), cyclic_group(7)),
     }
@@ -719,14 +717,14 @@ class TestTheorem3:
         assert verified(inst, cert).verdict
 
     def test_retraction_case(self, zz3):
+        # Z -> Z/6 gives x and x^3 orders 6 and 2 and keeps b's 3: no
+        # target dies
         x1 = NormalForm(((0, 1),))
         x3 = NormalForm(((0, 3),))
         b = NormalForm(((1, 1),))
         inst = Instance(zz3, [x1, x3, b], "theorem3")
         cert = separate(inst)
-        assert cert.orders[2] == 1
-        assert sorted(cert.orders.values())[1] > 1
-        assert len(set(cert.orders.values())) == 3
+        assert cert.orders == {0: 6, 1: 2, 2: 3}
         assert verified(inst, cert).verdict
 
     def test_identity_branch_finite(self, f23):
@@ -765,6 +763,34 @@ class TestTheorem3:
         assert sorted(cert.orders.values()) == [1, 2, 3]
         assert verified(inst, cert).verdict
 
+    @pytest.mark.parametrize("e", [1, 2])
+    def test_involution_dies_beside_hyperbolic_syllables(self, klein, z3, e):
+        # x, y and x b z b^e with z = xy: every order-2 quotient of the Klein
+        # group kills x, y or z, and the hyperbolic syllables x and z must
+        # stay alive, so y dies (so does the syllable quotient xz = y)
+        factors = finite_factors(klein, z3)
+        inst = Instance(
+            factors,
+            [NormalForm(((0, 1),)), NormalForm(((0, 2),)),
+             NormalForm(((0, 1), (1, 1), (0, 3), (1, e)))],
+        )
+        assert brute_force_search(instance_to_json(inst), max_degree=6).found
+        cert = separate(inst)
+        assert cert.factor_homs[0].map == (0, 1, 0, 1)
+        assert cert.orders[1] == 1
+        assert len(set(cert.orders.values())) == 3
+        assert verified(inst, cert).verdict
+
+    def test_involution_dies_with_no_target_on_the_other_side(self, klein, z3):
+        # Klein*Z/3 case 38 of the oracle sweep: b z b^2 reduces to the
+        # involution z, and only a quotient that kills y parts z and y
+        factors = finite_factors(klein, z3)
+        raw = [[(1, 2), (0, 3)], [(1, 1), (0, 3), (1, 2)], [(0, 2)]]
+        inst = Instance(factors, [normalize(w, factors) for w in raw])
+        cert = separate(inst)
+        assert cert.orders == {0: 6, 1: 2, 2: 1}
+        assert verified(inst, cert).verdict
+
     def test_equal_orders_under_every_hom(self, zz5):
         # b and b^2 have equal orders under every homomorphism
         inst = Instance(zz5, [NormalForm(((0, 1),)), NormalForm(((1, 1),)), NormalForm(((1, 2),))])
@@ -801,17 +827,14 @@ class TestAssemble:
             assert cert.orders[i] == math.lcm(product_order(w, f23), *on_comps)
 
     def test_homs_carry_only_what_the_instance_leaves_open(self, f23, zz3, klein, z3):
-        # identity and modulus homs carry no table; a proper quotient and the
-        # trivial retraction carry their map and target table
-        X, X3 = NormalForm(((0, 1),)), NormalForm(((0, 3),))
+        # identity and modulus homs carry no table; a proper quotient carries
+        # its map and target table
+        X = NormalForm(((0, 1),))
         cases = [
             (Instance(f23, [NormalForm((A,)), NormalForm((B,)), AB]),
              [{"kind": "identity"}, {"kind": "identity"}]),
             (Instance(zz3, [X, NormalForm((B,)), NormalForm(((0, 1), B))]),
              [{"kind": "infinite_cyclic", "modulus": 2}, {"kind": "identity"}]),
-            (Instance(zz3, [X, X3, NormalForm((B,))], "theorem3"),
-             [{"kind": "infinite_cyclic", "modulus": 6},
-              {"kind": "finite", "map": [0, 0, 0], "target_table": [[0]]}]),
             (Instance(finite_factors(klein, z3),
                       [NormalForm(((0, 1),)), NormalForm(((0, 2),)), NormalForm((B,))]),
              [{"kind": "finite", "map": [0, 0, 1, 1], "target_table": [[0, 1], [1, 0]]},

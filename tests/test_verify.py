@@ -529,6 +529,30 @@ class TestHomKinds:
             "factor hom 0: identity hom on non-finite factor"
         ]
 
+    def test_finite_hom_source_must_be_a_group(self):
+        # Z*Z/3 with targets x, x^3 and b, retracting Z/3 away: the trivial
+        # map is a homomorphism from any table, so the instance's table is
+        # checked on its own
+        factors = Factors((FactorSpec("infinite_cyclic"), FactorSpec("finite", cyclic_group(3))))
+        inst = instance_to_json(
+            Instance(factors, [NormalForm(((0, 1),)), NormalForm(((0, 3),)), NormalForm((B,))])
+        )
+        cert = {
+            "schema": 3,
+            "factor_homs": [
+                {"kind": "infinite_cyclic", "modulus": 6},
+                {"kind": "finite", "map": [0, 0, 0], "target_table": [[0]]},
+            ],
+            "components": [],
+            "orders": {"0": 6, "1": 2, "2": 1},
+            "verified": True,
+        }
+        assert verify_certificate(inst, cert).verdict
+        inst["factors"][1]["table"] = [[0, 1, 2], [1, 1, 1], [2, 2, 2]]
+        assert verify_certificate(inst, cert).failures == [
+            "factor hom 1: source not a group: row 1 not a permutation"
+        ]
+
     def test_identity_hom_needs_identity_at_zero(self):
         # Z/3 with its identity at label 1: an identity hom reads the
         # instance's labels, so the table fails as a target
