@@ -305,6 +305,23 @@ def map_word(w: NormalForm, homs: tuple[FactorHom, FactorHom], rfactors: Factors
     return normalize([(f, homs[f].apply(v)) for f, v in w.syllables], rfactors)
 
 
+def _apart_over_partner(
+    hom: FactorHom, f: int, factors: Factors, reduced: list[NormalForm], gamma: list[int],
+) -> bool:
+    """Condition (d) with only factor ``f`` mapped: hyperbolic images that
+    are conjugate up to inversion over the other factor left unreduced stay
+    so under every hom of that factor, so ``hom`` can never pass (d)."""
+    specs = list(factors.specs)
+    specs[f] = FactorSpec("finite", hom.target)
+    partial = Factors((specs[0], specs[1]))
+    images = [
+        normalize([(g, hom.apply(v) if g == f else v) for g, v in reduced[i].syllables], partial)
+        for i in gamma
+    ]
+    pairs = itertools.combinations(images, 2)
+    return not any(is_conjugate(u, w, partial, allow_inverse=True) for u, w in pairs)
+
+
 def _candidate_stream(spec: FactorSpec, bound: int):
     if spec.is_finite:
         yield from _finite_candidates(spec.group)
@@ -403,8 +420,18 @@ def reduce_factors(
     counts as one more factor target.  Only when no pair passes it, that is
     when it raises ``NoFactorHom``, does a second pass let a factor target
     die.  A ``ModulusBudgetExceeded`` ends the search.
+
+    An identity target counts as a factor target on both factors in (a):
+    its order is 1 under every hom, so by (c) no other factor target may
+    die.  Against an infinite cyclic factor, whose moduli run on to
+    ``MODULUS_BOUND``, a finite factor's quotient must also pass (d) over
+    that factor left unreduced.  So no quotient that fails with every
+    modulus is kept, and a finite factor whose quotients all fail raises
+    ``NoFactorHom`` at once.
     """
     alpha, beta, gamma = partition
+    identity = [i for i in alpha if not len(reduced[i])]
+    specs = inst.factors.specs
 
     def try_pair(h0: FactorHom, h1: FactorHom):
         # (c): cross-factor distinctness of factor-target image orders
@@ -433,17 +460,21 @@ def reduce_factors(
                 return None
         return homs, rfactors, mapped
 
+    def feasible(f: int, lam: tuple[set[int], list[int]]):
+        if specs[f].is_finite and not specs[1 - f].is_finite:
+            return lambda h: _factor_feasible(h, *lam) and _apart_over_partner(
+                h, f, inst.factors, reduced, gamma
+            )
+        return lambda h: _factor_feasible(h, *lam)
+
     for keep_alive in (True, False):
         lams = [
             _lambda_sets(0, reduced, alpha, gamma, keep_alive),
-            _lambda_sets(1, reduced, beta, gamma, keep_alive),
+            _lambda_sets(1, reduced, beta + identity, gamma, keep_alive),
         ]
         try:
             return _search_hom_pair(
-                inst.factors.specs,
-                MODULUS_BOUND,
-                [lambda h, lam=lam: _factor_feasible(h, *lam) for lam in lams],
-                try_pair,
+                specs, MODULUS_BOUND, [feasible(f, lam) for f, lam in enumerate(lams)], try_pair,
             )
         except NoFactorHom:
             if not keep_alive:

@@ -302,8 +302,9 @@ class TestRepairBudget:
 
 class TestPromptExits:
     """Inputs outside the budgets exit at once: a finite factor with no
-    feasible quotient ends the factor-hom search (exit 2), a Lemma 1 fiber
-    over ``max_vertices`` is refused before any draw (exit 3), and a factor
+    feasible quotient ends the factor-hom search (exit 2), also beside an
+    infinite factor when each quotient fails with every modulus, a Lemma 1
+    fiber over ``max_vertices`` is refused before any draw (exit 3), and a factor
     table over 64 elements that is not a group is rejected on load (exit 2).
     Klein targets x and y certify at once: a quotient kills one of them."""
 
@@ -324,6 +325,18 @@ class TestPromptExits:
         # the Klein targets x, y and xy cannot get three image orders
         "klein-z-three-involutions": (
             "separate", {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[0, 3]], [[1, 1]]]}, 2,
+        ),
+        # the one quotient that lets y die maps z to x, so x b and z b meet
+        # under every modulus
+        "klein-z-conjugate-images": (
+            "separate",
+            {"factors": KLEIN_Z, "targets": [[[0, 1]], [[0, 2]], [[0, 1], [1, 1]], [[0, 3], [1, 1]]]},
+            2,
+        ),
+        # the identity target has order 1 under every modulus, so neither
+        # Klein target may die
+        "z-klein-identity": (
+            "separate", {"factors": KLEIN_Z[::-1], "targets": [[], [[1, 1]], [[1, 2]]]}, 2,
         ),
         "z500-loop": (
             "separate",

@@ -446,6 +446,41 @@ class TestOracleSweep:
         assert divergences == KNOWN_DIVERGENCES.get(pair, [])
 
 
+class TestInfiniteFactorSweep:
+    """Every set of 1-4 targets from a pool of short Klein-by-Z words, with
+    the Klein group either side: no quotient that fails with every modulus
+    is kept, so with the moduli held to ``BOUND`` every set is refused at
+    once or gets a verified certificate with pairwise distinct orders."""
+
+    BOUND = 60
+
+    @staticmethod
+    def pool(k, z):
+        """The identity, the Klein involutions, b, b^2 and six hyperbolic
+        words, with the Klein group as factor ``k`` and Z as factor ``z``."""
+        words = [[], [(k, 1)], [(k, 2)], [(k, 3)], [(z, 1)], [(z, 2)]]
+        words += [[(k, x), (z, 1)] for x in (1, 2, 3)]
+        words += [[(k, 1), (z, 2)], [(k, 1), (z, -1)], [(k, 1), (z, 1), (k, 2), (z, 1)]]
+        return words
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_no_search_walks_every_modulus(self, monkeypatch, k):
+        monkeypatch.setattr(pipeline, "MODULUS_BOUND", self.BOUND)
+        specs = [FactorSpec("infinite_cyclic")] * 2
+        specs[k] = FactorSpec("finite", KLEIN)
+        factors = Factors(tuple(specs))
+        words = [normalize(w, factors) for w in self.pool(k, 1 - k)]
+        for size in range(1, 5):
+            for targets in itertools.combinations(words, size):
+                inst = Instance(factors, list(targets))
+                try:
+                    cert = separate(inst)
+                except (ConjugatePair, NoFactorHom):
+                    continue
+                assert len(set(cert.orders.values())) == size, targets
+                assert verified(inst, cert).verdict, targets
+
+
 class TestSmallAction:
     """Small-action draws are scored without graphs: a candidate's graph is
     built only when its ``build()`` is called."""
