@@ -7,6 +7,14 @@ JSON; identical inputs and seeds produce byte-identical outputs.
 
 Exit codes: 0 success, 2 hypothesis violation, 3 budget exceeded,
 4 verification failure or internal defect, 5 parse error.
+
+``verify`` runs no construction code on a certificate that passes: the
+independent verifier decides, and checks the instance's schema, factors and
+targets itself; only ``config``, ``mode`` and theorem3's three-target cap,
+which the verifier does not read, are checked as ``separate`` checks them.
+A failing report runs the instance parser, only to name a malformed
+instance with ``separate``'s exit code (2 or 5) and message; with a
+well-formed instance, a failing certificate exits 4.
 """
 
 from __future__ import annotations
@@ -57,12 +65,20 @@ def _load_json(path: str) -> dict:
     try:
         with open(path) as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
         raise ParseError(f"{path}: {exc}") from exc
+
+
+def _write_text(path: str | Path, text: str) -> None:
+    try:
+        with open(path, "w") as handle:  # Path.write_text costs a few microseconds more
+            handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
 
 
 def _required(data: dict, key: str):
@@ -154,11 +170,14 @@ def _emit_dots(cert, directory: str) -> None:
     implicit (built here from its homs' target groups), and one
     ``component_<n>.dot`` per component."""
     out_dir = Path(directory)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ParseError(f"cannot write {directory}: {exc}") from exc
     groups = [hom.target for hom in cert.factor_homs]
-    (out_dir / "product.dot").write_text(_dot_text(cayley_base(*groups)))
+    _write_text(out_dir / "product.dot", _dot_text(cayley_base(*groups)))
     for n, comp in enumerate(cert.components):
-        (out_dir / f"component_{n}.dot").write_text(_dot_text(comp.graph))
+        _write_text(out_dir / f"component_{n}.dot", _dot_text(comp.graph))
 
 
 def _separation_json(res: SeparationResult) -> dict:
@@ -182,8 +201,7 @@ def _cmd_separate(args) -> int:
         raise PostconditionFailed({"failures": report.failures})
     if args.dot:
         _emit_dots(cert, args.dot)
-    with open(args.out, "w") as handle:
-        handle.write(_dump(data))
+    _write_text(args.out, _dump(data))
     orders = " ".join(f"{k}:{v}" for k, v in sorted(cert.orders.items()))
     print(f"verified certificate written to {args.out} (orders {orders})")
     return 0
@@ -227,17 +245,33 @@ def _cmd_lemma(args, name: str) -> int:
         res = lemma4_power_separate(word, exponents, factors, seed=seed, config=config)
     text = _dump(_separation_json(res))
     if args.out:
-        Path(args.out).write_text(text)
+        _write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0
 
 
+def _check_settings(instance_data: dict) -> None:
+    """Refuse the instance keys the verifier does not read, as
+    ``parse_instance`` does and in its order: ``config`` by
+    ``RunConfig.from_json``, then ``mode`` and theorem3's cap of three
+    targets by ``Instance``'s own check, which reads no factor."""
+    config = RunConfig.from_json(instance_data.get("config", {}))
+    Instance(None, instance_data["targets"], instance_data.get("mode", "auto"), config)
+
+
 def _cmd_verify(args) -> int:
     instance_data = _load_json(args.instance)
     cert_data = _load_json(args.certificate)
-    parse_instance(instance_data)  # reject malformed instances with exit 5
+    # The verifier decides, and checks the instance's schema, factors and
+    # targets itself: a passing report means ``parse_instance`` would accept
+    # them.  A failing one runs the parser only to name a malformed instance
+    # (exit 2 or 5, as ``separate`` would); a well-formed one exits 4.
     report = verify_certificate(instance_data, cert_data)
+    if report.verdict:
+        _check_settings(instance_data)
+    else:
+        parse_instance(instance_data)
     sys.stdout.write(_dump(report.to_json()))
     return 0 if report.verdict else 4
 

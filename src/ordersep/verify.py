@@ -2,9 +2,16 @@
 
 The verifier re-walks every target through the certificate's raw data with
 its own reduction and action code (nothing shared with the construction
-path), recomputes all orders, and checks the claims.  The oracle searches
-small-degree permutation assignments exhaustively, deduplicated up to
-simultaneous conjugation, and is used to cross-check engine results.
+path), recomputes all orders, and checks the claims.  It checks the
+instance it reads as well: schema 1, exactly two factors, each a group
+table with identity 0 or infinite cyclic, and each target a list of
+``[factor, value]`` syllables that name factor elements.  A passing report
+therefore implies that the construction's instance parser accepts the
+factors and targets; the instance's ``mode`` and ``config`` are not read.
+
+The oracle searches small-degree permutation assignments exhaustively,
+deduplicated up to simultaneous conjugation, and is used to cross-check
+engine results.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ def _mul_table_ok(table: list[list[int]]) -> tuple[str | None, list[int]]:
     """The first failure of a group table, or None, with the table's
     generating sequence (empty when the table fails before it is read)."""
     n = len(table)
+    if n == 0:
+        return "empty table", []
     full = list(range(n))
     for i, row in enumerate(table):
         if len(row) != n:
@@ -328,10 +337,11 @@ def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     independent code path, recomputes its order as the lcm of its order in
     that direct product (from the tables) and its walked order on each
     component, and compares the orders and their pairwise distinctness with
-    the claims.  A certificate may list no component.  One that carries a
-    ``product`` graph, which no engine emits any more, fails: that graph is
-    not checked.  Malformed data of any shape gives a failing report, not an
-    exception.
+    the claims.  The instance must be schema 1 with exactly two factors,
+    and each target a list of two-entry syllable lists.  A certificate may
+    list no component.  One that carries a ``product`` graph, which no
+    engine emits any more, fails: that graph is not checked.  Malformed
+    data of any shape gives a failing report, not an exception.
     """
     report = VerifyReport()
     try:
@@ -349,13 +359,18 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
         return report
 
     try:
+        schema = instance_data.get("schema", 1)
         factors = instance_data["factors"]
-        raw_targets = [[(f, v) for f, v in word] for word in instance_data["targets"]]
+        words = list(instance_data["targets"])
         homs = cert_data["factor_homs"]
         components = cert_data["components"]
         claimed = {int(k): v for k, v in cert_data["orders"].items()}
     except Exception as exc:
         return fail(f"unreadable data: {exc}")
+    if schema != 1:
+        return fail(f"unsupported instance schema {schema!r}")
+    if type(factors) is not list or len(factors) != 2:
+        return fail("the instance needs exactly two factors")
     for i, order in sorted(claimed.items()):
         if type(order) is not int:  # bool is a subclass of int
             return fail(f"target {i}: claimed order {order!r} is not an integer")
@@ -374,11 +389,15 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
     report.checks.append("factor homomorphisms are valid")
 
     # each hom has been checked against its factor's type
-    sizes = [len(src["table"]) if src["type"] == "finite" else None for src in factors[:2]]
-    for i, word in enumerate(raw_targets):
+    sizes = [len(src["table"]) if src["type"] == "finite" else None for src in factors]
+    raw_targets = []
+    for i, word in enumerate(words):
+        if type(word) is not list or any(type(s) is not list or len(s) != 2 for s in word):
+            return fail(f"target {i} is not a list of [factor, value] syllables")
         for f, v in word:
             if not _is_factor_element(f, v, sizes):
                 return fail(f"target {i}: syllable {[f, v]!r} is not a factor element")
+        raw_targets.append([(f, v) for f, v in word])
 
     mapped = [
         _reduce(_map_syllables(word, homs), hom_tables) for word in raw_targets

@@ -13,8 +13,10 @@ from pathlib import Path
 from typing import Sequence
 
 from ordersep.covergraph import CoverGraph, CoverReport, _require_hyperbolic, cycle_walks, induced_graph
-from ordersep.errors import BudgetExceeded
+from ordersep.errors import BudgetExceeded, OrderSepError
 from ordersep.groupcore import FiniteGroup, Permutation, cyclic_group, validate_group
+from ordersep.pipeline import parse_instance
+from ordersep.verify import verify_certificate
 from ordersep.words import IDENTITY, Factors, NormalForm, invert, multiply
 
 WREATH_POINT_BOUND = 2 ** 16
@@ -88,6 +90,19 @@ def wreath_p_group(p: int, m: int) -> list[Permutation]:
                 mapping[i * block + x] = ((i + 1) % p) * block + x
         gens.append(Permutation(points, tuple(mapping)))
     return gens
+
+
+def old_verify_exit(instance: dict, cert: dict) -> tuple[int, dict | None, dict | None]:
+    """What ``ordersep --json verify`` gives when the instance parser runs
+    before the verifier: the exit code, the error on standard error (None
+    after a report) and the report on standard output (None after an
+    error)."""
+    try:
+        parse_instance(instance)
+    except OrderSepError as exc:
+        return exc.exit_code, {"error": exc.code, "detail": str(exc)}, None
+    report = verify_certificate(instance, cert)
+    return (0 if report.verdict else 4), None, report.to_json()
 
 
 def mulclose(gens: Sequence[Permutation], maxsize: int | None = None) -> set[Permutation]:

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import functools
 import io
 import json
@@ -15,7 +16,7 @@ from ordersep.covergraph import cayley_base, graph_to_json, synchronized_product
 from ordersep.errors import ParseError
 from ordersep.groupcore import cyclic_group
 
-from helpers import TEN_TARGETS, bench_finite_tables, z2z3_syllables, z500_loop
+from helpers import TEN_TARGETS, bench_finite_tables, old_verify_exit, z2z3_syllables, z500_loop
 
 Z2 = [[0, 1], [1, 0]]
 Z3 = [[0, 1, 2], [1, 2, 0], [2, 0, 1]]
@@ -753,3 +754,273 @@ class TestGraphCommands:
         g["action"][0][0][0] = 0
         path = write(tmp_path, "bad.json", g)
         assert run_cli(["graph", "dot", path]) == 5
+
+
+class TestUnreadableInput:
+    """An input file that is not UTF-8 or nests too deeply for the JSON
+    reader is a parse error (exit 5), not a traceback."""
+
+    @pytest.mark.parametrize(
+        "content, detail",
+        [
+            (b"\xff\xfe{}", "cannot read {path}: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 200_000, "{path}: maximum recursion depth exceeded"),
+        ],
+        ids=["not-utf8", "nested"],
+    )
+    @pytest.mark.parametrize("slot", ["verify-instance", "verify-certificate", "separate"])
+    def test_exit_5(self, tmp_path, capsys, content, detail, slot):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        good = write(tmp_path, "good.json", instance_z2z3(TRIPLE))
+        argv = {
+            "verify-instance": ["verify", str(bad), good],
+            "verify-certificate": ["verify", good, str(bad)],
+            "separate": ["separate", str(bad), "--out", str(tmp_path / "c.json")],
+        }[slot]
+        capsys.readouterr()
+        assert run_cli(["--json", *argv]) == 5
+        payload = json.loads(capsys.readouterr().err)
+        assert payload["error"] == "ParseError"
+        assert payload["detail"].startswith(detail.format(path=bad))
+
+
+class TestWriteFailures:
+    """An output file that cannot be written is a parse error (exit 5) that
+    names it, not a traceback after the run."""
+
+    @staticmethod
+    def run_json(argv, capsys):
+        capsys.readouterr()
+        code = run_cli(["--json", *argv])
+        return code, json.loads(capsys.readouterr().err)
+
+    def test_separate_out(self, tmp_path, capsys):
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        out = tmp_path / "missing" / "c.json"
+        code, payload = self.run_json(["separate", inst, "--out", str(out)], capsys)
+        assert code == 5 and payload["error"] == "ParseError"
+        assert payload["detail"].startswith(f"cannot write {out}: ")
+
+    @pytest.mark.parametrize("command", ["lemma1", "lemma2", "lemma3", "lemma4"])
+    def test_lemma_out(self, tmp_path, capsys, command):
+        args = write(tmp_path, "args.json", TestMissingKeys.ARGS[command])
+        out = tmp_path / "missing" / "r.json"
+        code, payload = self.run_json([command, args, "--out", str(out)], capsys)
+        assert code == 5 and payload["error"] == "ParseError"
+        assert payload["detail"].startswith(f"cannot write {out}: ")
+
+    def test_dot_directory(self, tmp_path, capsys):
+        # the DOT directory would sit under a regular file
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        dot = tmp_path / "inst.json" / "dots"
+        argv = ["separate", inst, "--out", str(tmp_path / "c.json"), "--dot", str(dot)]
+        code, payload = self.run_json(argv, capsys)
+        assert code == 5 and payload["detail"].startswith(f"cannot write {dot}: ")
+        assert not (tmp_path / "c.json").exists()
+
+    def test_dot_file(self, tmp_path, capsys):
+        # a directory holds the place of product.dot
+        inst = write(tmp_path, "inst.json", instance_z2z3(TRIPLE))
+        (tmp_path / "dots" / "product.dot").mkdir(parents=True)
+        argv = ["separate", inst, "--out", str(tmp_path / "c.json"), "--dot", str(tmp_path / "dots")]
+        code, payload = self.run_json(argv, capsys)
+        assert code == 5
+        assert payload["detail"].startswith(f"cannot write {tmp_path / 'dots' / 'product.dot'}: ")
+
+
+KLEIN = [[i ^ j for j in range(4)] for i in range(4)]
+Z5 = [[(i + j) % 5 for j in range(5)] for i in range(5)]
+
+
+@functools.cache
+def _verify_pairs() -> tuple:
+    """Good instance/certificate pairs, each as ``separate`` writes it: the
+    homs between them take every kind, one certificate carries a component
+    and one instance has four targets (over theorem3's cap)."""
+    z3, klein, s3, z5 = ({"type": "finite", "table": t} for t in (Z3, KLEIN, bench_finite_tables()["S3"], Z5))
+    instances = [
+        {**instance_z2z3(TRIPLE), "config": {"seed": 0}},
+        instance_z2z3([*TRIPLE, [[0, 1], [1, 1], [0, 1], [1, 2]]]),
+        {"factors": [{"type": "infinite_cyclic"}, z3], "targets": TRIPLE},
+        {"factors": [klein, z3], "targets": [[[0, 1]], [[0, 2]], [[1, 1]]]},
+        {"factors": [s3, z5], "targets": [[[0, 1], [1, 1]], [[0, 3], [1, 1]]]},
+    ]
+    pairs = []
+    for inst in instances:
+        cert = pipeline.separate(pipeline.parse_instance(inst)).to_json()
+        cert["verified"] = True
+        pairs.append((inst, cert))
+    kinds = {hom["kind"] for _, cert in pairs for hom in cert["factor_homs"]}
+    assert kinds == {"identity", "finite", "infinite_cyclic"}
+    assert any(cert["components"] for _, cert in pairs)
+    return tuple(pairs)
+
+
+def _finite_factor(inst, draw):
+    finite = [f for f, spec in enumerate(inst["factors"]) if spec["type"] == "finite"]
+    return draw(st.sampled_from(finite))
+
+
+def _drop_key(inst, cert, draw):
+    data = draw(st.sampled_from([inst, cert]))
+    del data[draw(st.sampled_from(sorted(data)))]
+
+
+def _schema(inst, cert, draw):
+    inst["schema"] = draw(st.sampled_from([7, 2, 0, "1", None, [1], 1.0, True]))
+
+
+def _mode(inst, cert, draw):
+    inst["mode"] = draw(st.sampled_from(["fast", "", None, 3, ["auto"], "auto", "theorem12"]))
+
+
+def _config(inst, cert, draw):
+    inst["config"] = draw(st.sampled_from([
+        5, [], None, {"seed": 1.5}, {"seed": "1"}, {"bogus": 1}, {"modulus_bound": 10},
+        {"max_vertices": 0}, {"lemma1_attempts": True}, {"seed": 3},
+    ]))
+
+
+def _three_factors(inst, cert, draw):
+    inst["factors"].append(draw(st.sampled_from([{"type": "infinite_cyclic"}, {"type": "finite", "table": Z2}])))
+
+
+def _factor_type(inst, cert, draw):
+    f = draw(st.integers(0, 1))
+    kind = draw(st.sampled_from(["cyclic", None, "Finite", 5, "finite", "infinite_cyclic"]))
+    inst["factors"][f] = draw(st.sampled_from([{**inst["factors"][f], "type": kind}, [], "finite"]))
+
+
+def _table_entry(inst, cert, draw):
+    table = inst["factors"][_finite_factor(inst, draw)]["table"]
+    n = len(table)
+    table[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(st.integers(-1, n))
+
+
+def _identity_off_zero(inst, cert, draw):
+    table = inst["factors"][_finite_factor(inst, draw)]["table"]
+    k = draw(st.integers(1, len(table) - 1))
+    swap = list(range(len(table)))
+    swap[0], swap[k] = k, 0
+    relabelled = [row[:] for row in table]
+    for i, row in enumerate(table):
+        for j, x in enumerate(row):
+            relabelled[swap[i]][swap[j]] = swap[x]
+    table[:] = relabelled
+
+
+def _ragged_row(inst, cert, draw):
+    table = inst["factors"][_finite_factor(inst, draw)]["table"]
+    row = table[draw(st.integers(0, len(table) - 1))]
+    if draw(st.booleans()):
+        row.append(0)
+    else:
+        row.pop()
+
+
+def _table_shape(inst, cert, draw):
+    spec = inst["factors"][_finite_factor(inst, draw)]
+    spec["table"] = draw(st.sampled_from([[], [[]], None, 5, "table", [5], [[0]]]))
+
+
+def _syllable(inst, cert, draw):
+    word = draw(st.sampled_from([w for w in inst["targets"] if w]))
+    syllable = word[draw(st.integers(0, len(word) - 1))]
+    f, v = syllable
+    slot, value = draw(st.sampled_from([
+        (1, v + 0.0), (1, v + 0.5), (1, True), (1, False), (1, str(v)), (1, None),
+        (1, -1), (1, 5), (1, 6), (0, 2), (0, -1), (0, True), (0, 1.0), (0, "0"),
+    ]))
+    syllable[slot] = value
+
+
+def _target_shape(inst, cert, draw):
+    shape = draw(st.sampled_from(["", {}, 5, [[0]], [[0, 1, 1]], ["01"], [5], None]))
+    if draw(st.booleans()):
+        inst["targets"][draw(st.integers(0, len(inst["targets"]) - 1))] = shape
+    else:
+        inst["targets"] = draw(st.sampled_from(["", {}, 5, "ab", None, []]))
+
+
+def _theorem3(inst, cert, draw):
+    inst["mode"] = "theorem3"
+
+
+def _claimed_order(inst, cert, draw):
+    cert["orders"][draw(st.sampled_from(sorted(cert["orders"])))] = draw(st.integers(0, 12))
+
+
+class TestVerifyParity:
+    """``verify`` runs the verifier first and the instance parser only on a
+    failing report; on every instance it exits, errs and reports as it would
+    with the parser first (``helpers.old_verify_exit``).  Each example
+    changes one field of a good pair."""
+
+    MUTATIONS = [
+        _drop_key, _schema, _mode, _config, _three_factors, _factor_type, _table_entry,
+        _identity_off_zero, _ragged_row, _table_shape, _syllable, _target_shape, _theorem3,
+        _claimed_order,
+    ]
+
+    @staticmethod
+    def run_verify(inst, cert):
+        """``ordersep --json verify``'s exit code, error and report."""
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            argv = ["--json", "verify", write(Path(tmp), "inst.json", inst), write(Path(tmp), "cert.json", cert)]
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = run_cli(argv)
+        return code, *(json.loads(text) if text else None for text in (err.getvalue(), out.getvalue()))
+
+    def test_good_pairs_pass(self):
+        for inst, cert in _verify_pairs():
+            assert self.run_verify(inst, cert)[0] == 0
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_same_outcome_as_parser_first(self, data):
+        inst, cert = copy.deepcopy(data.draw(st.sampled_from(_verify_pairs())))
+        data.draw(st.sampled_from(self.MUTATIONS))(inst, cert, data.draw)
+        inst, cert = json.loads(json.dumps(inst)), json.loads(json.dumps(cert))
+        assert self.run_verify(inst, cert) == old_verify_exit(copy.deepcopy(inst), copy.deepcopy(cert))
+
+
+class TestVerifyRunsNoConstruction:
+    """A passing ``verify`` never calls the instance parser; a malformed
+    instance is named by it, once."""
+
+    def test_passing_pair(self, tmp_path, capsys, monkeypatch):
+        def refuse(data):
+            raise AssertionError("parse_instance ran")
+
+        monkeypatch.setattr(cli, "parse_instance", refuse)
+        for n, (inst, cert) in enumerate(_verify_pairs()):
+            argv = ["verify", write(tmp_path, f"i{n}.json", inst), write(tmp_path, f"c{n}.json", cert)]
+            assert run_cli(argv) == 0
+
+    @pytest.mark.parametrize(
+        "tamper, code, error, detail",
+        [
+            (lambda i: i["targets"][1][0].__setitem__(1, 3), 2, "BadSyllable", "element 3 out of range for factor 1"),
+            (lambda i: i["factors"][1]["table"][1].__setitem__(2, 1), 2, "NotAGroup", "row 1 not a permutation"),
+            (lambda i: i["factors"].append(i["factors"][0]), 5, "ParseError", "exactly two factors required"),
+            (lambda i: i.update(schema=7), 5, "ParseError", "unsupported schema 7"),
+            (lambda i: i["targets"].append(""), 5, "ParseError", "word must be a list, got ''"),
+        ],
+        ids=["syllable-range", "not-a-group", "three-factors", "schema", "word-string"],
+    )
+    def test_malformed_instance(self, tmp_path, capsys, monkeypatch, tamper, code, error, detail):
+        calls = []
+
+        def spy(data):
+            calls.append(data)
+            return pipeline.parse_instance(data)
+
+        monkeypatch.setattr(cli, "parse_instance", spy)
+        inst, cert = copy.deepcopy(_verify_pairs()[0])
+        tamper(inst)
+        capsys.readouterr()
+        assert run_cli(["--json", "verify", write(tmp_path, "i.json", inst), write(tmp_path, "c.json", cert)]) == code
+        assert json.loads(capsys.readouterr().err) == {"error": error, "detail": detail}
+        assert len(calls) == 1

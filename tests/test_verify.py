@@ -681,3 +681,43 @@ class TestInstanceSyllables:
         assert verify_certificate(inst, cert).failures == [
             f"target 0: syllable {[0, value]!r} is not a factor element"
         ]
+
+
+class TestInstanceShape:
+    """The verifier refuses an instance it would otherwise misread: it reads
+    only the first two factors and no schema, and an empty word of any type
+    walks as the identity.  Each such instance is one the instance parser
+    refuses too."""
+
+    @pytest.mark.parametrize(
+        "tamper, message",
+        [
+            (lambda i: i["factors"].append(i["factors"][0]), "the instance needs exactly two factors"),
+            (lambda i: i.update(factors=i["factors"][0]), "the instance needs exactly two factors"),
+            (lambda i: i.update(schema=7), "unsupported instance schema 7"),
+            (lambda i: i.update(schema="1"), "unsupported instance schema '1'"),
+            (lambda i: i["factors"][0].update(table=[]), "factor hom 0: target not a group: empty table"),
+            (lambda i: i["targets"].append(""), "target 2 is not a list of [factor, value] syllables"),
+            (lambda i: i["targets"].append({}), "target 2 is not a list of [factor, value] syllables"),
+            (lambda i: i["targets"][1].__setitem__(0, "11"), "target 1 is not a list of [factor, value] syllables"),
+            (lambda i: i["targets"][0].append([0, 1, 1]), "target 0 is not a list of [factor, value] syllables"),
+        ],
+        ids=[
+            "three-factors", "factors-dict", "schema-7", "schema-string", "empty-table",
+            "word-string", "word-dict", "syllable-string", "syllable-long",
+        ],
+    )
+    def test_refused(self, tamper, message):
+        inst, cert = TestInstanceSyllables.certificate()
+        assert verify_certificate(inst, cert).verdict
+        tamper(inst)
+        assert verify_certificate(inst, cert).failures == [message]
+
+    @pytest.mark.parametrize("schema", [1, 1.0])
+    def test_schema_one(self, schema):
+        # the instance parser's rule: a missing schema, or one equal to 1
+        inst, cert = TestInstanceSyllables.certificate()
+        inst["schema"] = schema
+        assert verify_certificate(inst, cert).verdict
+        del inst["schema"]
+        assert verify_certificate(inst, cert).verdict
