@@ -60,7 +60,7 @@ from .words import (
 )
 
 MODULUS_BOUND = 10 ** 6  # largest modulus tried for an infinite cyclic factor
-SMALL_FIBERS = range(2, 13)  # fiber sizes of the repair rounds' small-action pool
+SMALL_FIBERS = range(2, 17)  # fiber sizes of the small-action pool
 SMALL_DRAWS = 16  # random fiber assignments per size
 
 
@@ -184,10 +184,11 @@ def instance_to_json(inst: Instance) -> dict:
 
 def parse_instance(data: dict) -> Instance:
     try:
-        if data.get("schema", 1) != 1:
-            raise ParseError(f"unsupported schema {data.get('schema')}")
+        schema = data.get("schema", 1)
+        if type(schema) is not int or schema != 1:  # bool and float are not schema 1
+            raise ParseError(f"unsupported schema {schema}")
         factors = parse_factors(data["factors"])
-        targets = [parse_word(raw, factors) for raw in data["targets"]]
+        targets = [parse_word(raw, factors) for raw in json_list(data["targets"], "targets")]
         mode = data.get("mode", "auto")
         config = RunConfig.from_json(data.get("config", {}))
         return Instance(factors, targets, mode, config)
@@ -327,26 +328,6 @@ def _candidate_stream(spec: FactorSpec, bound: int):
         yield from _finite_candidates(spec.group)
     else:
         yield from _modulus_candidates(bound)
-
-
-class _Replay:
-    """An iterable read lazily and kept: a second pass re-reads the items the
-    first one pulled and pulls the rest from the source on demand."""
-
-    def __init__(self, source):
-        self._source = iter(source)
-        self._items: list = []
-
-    def __iter__(self):
-        i = 0
-        while True:
-            if i == len(self._items):
-                nxt = next(self._source, None)
-                if nxt is None:
-                    return
-                self._items.append(nxt)
-            yield self._items[i]
-            i += 1
 
 
 def _search_hom_pair(specs, bound, feasible, try_pair):
@@ -563,16 +544,15 @@ def _finite_stage(
     and the certificate leaves it implicit, so no graph exists before a
     repair round and an instance that needs none returns no components.
 
-    A round first reads one pool of small-action draws, scored once per call
-    and re-read by later rounds, and keeps the draw whose colliding set is a
-    strict subset of the current one and smallest (the earliest on a tie),
-    stopping at a draw that leaves none.  Only when no draw qualifies does it
-    read the least colliding pair's lemma candidates from ``_repair_pair``
-    and keep the first that parts the pair and merges no other.  Either way
-    the colliding set shrinks every round, so at most C(n, 2) rounds run; a
-    round's entry names the stage and the least pair its components part.  A
-    round with no candidate raises ``RepairBudgetExceeded`` naming its stage
-    and pair.
+    The first round reads the small-action pool once, through ``_select``:
+    it keeps the first draw, or else the first pair of draws, that leaves
+    no collision.  Every other round, and the first when ``_select`` keeps
+    nothing, reads the least colliding pair's lemma candidates from
+    ``_repair_pair`` and keeps the first that parts the pair and merges no
+    other.  Either way the colliding set shrinks every round, so at most
+    C(n, 2) rounds run; a round's entry names the stage and the least pair
+    its components part.  A round with no candidate raises
+    ``RepairBudgetExceeded`` naming its stage and pair.
     """
     ga, gb = rfactors.groups()
     if ga.n * gb.n > config.max_vertices:
@@ -581,17 +561,10 @@ def _finite_stage(
     classes = hyperbolic_classes(classify_targets(mapped)[2], mapped, rfactors)
     root_of = {i: n for n, cls in enumerate(classes) for i, _k, _l in cls.members}
     orders = {n: product_order(w, rfactors) for n, w in enumerate(mapped)}
-    pool = _Replay(_small_action(mapped, rfactors, config, sub_seed(seed, "repair", 0)))
+    pool = _small_action(mapped, rfactors, config, sub_seed(seed, "repair", 0))
     round_no = 0
     while colliding := _colliding(orders):
-        best = None
-        for scores, build, entry in pool:
-            new = {n: math.lcm(o, scores[n]) for n, o in orders.items()}
-            left = _colliding(new)
-            if left < colliding and (best is None or len(left) < len(best[1])):
-                best = new, left, build, entry
-                if not left:
-                    break
+        best = _select(pool, orders) if round_no == 0 else None
         if best is None:
             i, j = min(colliding)
             stage = _pair_stage(i, j, root_of)
@@ -603,13 +576,14 @@ def _finite_stage(
                 new = {n: math.lcm(o, scores[n]) for n, o in orders.items()}
                 left = _colliding(new)
                 if (i, j) not in left and left <= colliding:
-                    best = new, left, build, entry
+                    best = new, build, entry
                     break
             else:
                 raise RepairBudgetExceeded(
                     f"{stage}: no candidate parts pair {(i, j)} without merging another"
                 )
-        orders, left, build, entry = best
+        orders, build, entry = best
+        left = _colliding(orders)
         if not left < colliding:
             raise InternalError(f"repair round {round_no} did not shrink the colliding set")
         i, j = min(colliding - left)
@@ -617,6 +591,29 @@ def _finite_stage(
         transcript.append({"stage": _pair_stage(i, j, root_of), "pair": [i, j], **entry})
         round_no += 1
     return components, orders
+
+
+def _select(pool, orders: dict[int, int]):
+    """The first pool candidate whose lcm with ``orders`` is injective, else
+    the first such pair of candidates, as (new orders, build, entry); None
+    if there is none.
+
+    The pool is read once, up to its first clearing candidate.  Failing one,
+    the candidates read are tried in pairs, in ``itertools.combinations``
+    order; a pair's build makes both candidates' components, and its entry
+    joins their notes."""
+    read = []
+    for scores, build, entry in pool:
+        new = tuple(map(math.lcm, orders.values(), scores))
+        if len(set(new)) == len(new):
+            return dict(zip(orders, new)), build, entry
+        read.append((new, build, entry))
+    for (new_a, build_a, entry_a), (new_b, build_b, entry_b) in itertools.combinations(read, 2):
+        new = tuple(map(math.lcm, new_a, new_b))
+        if len(set(new)) == len(new):
+            entry = {"action": f"{entry_a['action']}; {entry_b['action']}"}
+            return dict(zip(orders, new)), lambda: build_a() + build_b(), entry
+    return None
 
 
 def _pair_stage(i: int, j: int, root_of: dict[int, int]) -> str:
@@ -645,8 +642,8 @@ def _repair_pair(
     rfactors: Factors, config: RunConfig, seed: int,
 ):
     """The lemma candidates for the colliding pair (i, j), lazily, in a fixed
-    order per stage; a round reads them only when no small-action draw of its
-    pool shrinks the colliding set:
+    order per stage; a round reads them only when the small-action pool
+    keeps nothing:
 
     - same class: a Lemma 1 boost of the class root at each prime where the
       two members' valuation profiles differ, ascending;
@@ -696,22 +693,22 @@ def _repair_pair(
 
 
 def _small_action(mapped: list[NormalForm], rfactors: Factors, config: RunConfig, seed: int):
-    """The repair rounds' pool: actions induced from random fiber
+    """The small-action pool: actions induced from random fiber
     permutations on ``SMALL_FIBERS`` points, ``SMALL_DRAWS`` per size and
     one candidate per draw, up to the fiber that ``max_vertices`` admits.
     Lemma 1's wreath p-groups give two hyperbolic roots the same order almost
     surely, and the Lemma 2 surgery inside Lemma 3 can grow without bound;
-    one small symmetric fiber usually spreads every target at once.
+    one or two small symmetric fibers usually spread every target at once.
 
     Each draw is scored by the fiber evaluator from the targets' return
     letters, computed once per call; only its ``build()`` makes the graph,
     whose word orders must match the scores.
 
     A draw repeated within the call is read from the random stream and
-    skipped.  A round keeps the earliest draw of smallest colliding set and
-    stops at the first that leaves none; a repeat has its original's scores
-    and comes after it, so in no round can it be kept or stop the read
-    first: skipping it changes no outcome."""
+    skipped.  ``_select`` keeps the first draw that clears every collision,
+    or else the first pair that does; a repeat has its original's scores
+    and comes after its original, so it is neither the first clearing draw
+    nor in the first clearing pair: skipping it changes no outcome."""
     ga, gb = rfactors.groups()
     rank = cartesian_basis(rfactors).rank
     returns = [fiber_returns(ga, gb, w) for w in mapped]
@@ -761,9 +758,11 @@ def assemble_certificate(
 # entry point
 # ---------------------------------------------------------------------------
 
-def run_theorem12(inst: Instance) -> Certificate:
-    """Reduce the factors, then separate the targets' images over the finite
-    quotients and bundle the result."""
+def separate(inst: Instance) -> Certificate:
+    """Certificates for the instance's targets: reduce the factors, then
+    separate the targets' images over the finite quotients and bundle the
+    result.  Every mode takes the same route; ``Instance`` holds theorem3
+    mode to at most three targets."""
     reduced = check_hypotheses(inst)
     transcript: list[dict] = [{"stage": "mode", "value": "theorem12"}]
     homs, rfactors, mapped = reduce_factors(inst, reduced, classify_targets(reduced))
@@ -777,9 +776,3 @@ def run_theorem12(inst: Instance) -> Certificate:
         rfactors, mapped, inst.config, sub_seed(inst.config.seed, "t12"), transcript
     )
     return assemble_certificate(homs, components, orders, transcript)
-
-
-def separate(inst: Instance) -> Certificate:
-    """Certificates for the instance's targets.  Every mode takes the same
-    route; ``Instance`` holds theorem3 mode to at most three targets."""
-    return run_theorem12(inst)

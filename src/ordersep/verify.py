@@ -337,11 +337,12 @@ def verify_certificate(instance_data: dict, cert_data: dict) -> VerifyReport:
     independent code path, recomputes its order as the lcm of its order in
     that direct product (from the tables) and its walked order on each
     component, and compares the orders and their pairwise distinctness with
-    the claims.  The instance must be schema 1 with exactly two factors,
-    and each target a list of two-entry syllable lists.  A certificate may
-    list no component.  One that carries a ``product`` graph, which no
-    engine emits any more, fails: that graph is not checked.  Malformed
-    data of any shape gives a failing report, not an exception.
+    the claims.  The instance must be schema 1, an integer, with exactly
+    two factors and a list of targets, each a list of two-entry syllable
+    lists.  A certificate may list no component.  One that carries a
+    ``product`` graph, which no engine emits any more, fails: that graph is
+    not checked.  Malformed data of any shape gives a failing report, not
+    an exception.
     """
     report = VerifyReport()
     try:
@@ -361,16 +362,18 @@ def _check_certificate(report: VerifyReport, instance_data: dict, cert_data: dic
     try:
         schema = instance_data.get("schema", 1)
         factors = instance_data["factors"]
-        words = list(instance_data["targets"])
+        words = instance_data["targets"]
         homs = cert_data["factor_homs"]
         components = cert_data["components"]
         claimed = {int(k): v for k, v in cert_data["orders"].items()}
     except Exception as exc:
         return fail(f"unreadable data: {exc}")
-    if schema != 1:
+    if type(schema) is not int or schema != 1:  # bool and float are not schema 1
         return fail(f"unsupported instance schema {schema!r}")
     if type(factors) is not list or len(factors) != 2:
         return fail("the instance needs exactly two factors")
+    if type(words) is not list:
+        return fail("the instance's targets are not a list")
     for i, order in sorted(claimed.items()):
         if type(order) is not int:  # bool is a subclass of int
             return fail(f"target {i}: claimed order {order!r} is not an integer")

@@ -6,7 +6,10 @@ groups, rebuild words, and compare graphs the slow, obvious way.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
+import itertools
+import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,7 +48,8 @@ TEN_TARGETS = {
 
 # two sets the per-pair repair route did not finish: on it, each ran for
 # more than 10 s without a certificate.  Sixteen Z/2*Z/3 targets alternating
-# a and b^(+-1), 2-20 syllables each, drawn with random.Random(0); six Z*Z
+# a and b^(+-1), 2-20 syllables each, drawn with random.Random(0) (this is
+# many_targets(("Z2", "Z3"), 16, 20, 0)); six Z*Z
 # targets of 2-8 syllables a^e b^f, e and f in {+-1, +-2}, drawn with
 # random.Random(6) (both redrawn on a conjugate pair up to inversion)
 SIXTEEN_TARGETS = (
@@ -213,13 +217,72 @@ def two_generator_groups() -> dict[str, FiniteGroup]:
     }
 
 
-def bench_finite_tables() -> dict[str, list[list[int]]]:
-    """The finite factor tables of the benchmark corpora."""
+@functools.cache
+def _bench_corpora():
+    """The benchmark's instance generators, loaded from their file."""
     path = Path(__file__).resolve().parents[1] / "bench" / "corpora.py"
     spec = importlib.util.spec_from_file_location("bench_corpora", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.FINITE_TABLES
+    return module
+
+
+def bench_finite_tables() -> dict[str, list[list[int]]]:
+    """The finite factor tables of the benchmark corpora."""
+    return _bench_corpora().FINITE_TABLES
+
+
+def many_targets(pair: tuple[str, str], n: int, max_syllables: int, seed: int) -> dict:
+    """Instance JSON of ``n`` targets over the factors named by ``pair``:
+    ``"Z"`` is infinite cyclic, any other name a table of
+    ``bench_finite_tables()``.
+
+    Each target is 1 to ``max_syllables // 2`` syllable pairs ``a^e b^f``,
+    drawn with ``random.Random(seed)``.  A finite factor's exponent is a
+    uniform non-identity element (Z/2's is 1, with no draw); an infinite
+    cyclic one's is one of +-1, +-2.  A target conjugate up to inversion
+    to an earlier one is drawn again.
+    """
+    corpora = _bench_corpora()
+    factors = [
+        {"type": "infinite_cyclic"} if name == "Z"
+        else {"type": "finite", "table": corpora.FINITE_TABLES[name]}
+        for name in pair
+    ]
+
+    rng = random.Random(seed)
+
+    def exponent(factor: dict) -> int:
+        if factor["type"] != "finite":
+            return rng.choice([1, -1, 2, -2])
+        order = len(factor["table"])
+        return 1 if order == 2 else rng.randrange(1, order)
+
+    targets: list[list[list[int]]] = []
+    while len(targets) < n:
+        word = [
+            [f, exponent(factors[f])]
+            for _ in range(rng.randint(1, max_syllables // 2))
+            for f in (0, 1)
+        ]
+        if not any(corpora.conjugate_up_to_inverse(word, t, factors) for t in targets):
+            targets.append(word)
+    return {"schema": 1, "factors": factors, "targets": targets, "mode": "auto"}
+
+
+def reference_select(orders: list[int], pool: list[list[int]]) -> tuple[int, ...] | None:
+    """The pool selection the slow, obvious way: the index of the first
+    score vector whose lcm with ``orders`` is pairwise distinct, else the
+    first such pair of indices in ``itertools.combinations`` order, else
+    None."""
+
+    def clears(picked: tuple[int, ...]) -> bool:
+        new = [math.lcm(o, *(pool[k][n] for k in picked)) for n, o in enumerate(orders)]
+        return len(set(new)) == len(new)
+
+    singles = [(k,) for k in range(len(pool))]
+    pairs = itertools.combinations(range(len(pool)), 2)
+    return next((picked for picked in itertools.chain(singles, pairs) if clears(picked)), None)
 
 
 def random_loop_table(n: int, rng: random.Random) -> list[list[int]]:

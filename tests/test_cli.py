@@ -421,6 +421,30 @@ class TestOneLevelParse:
         assert one == self.reading(_build_parser().parse_args, argv, capsys)
 
 
+class TestInstanceShape:
+    """A ``targets`` that is not a list, or a schema that is not the integer
+    1, is a malformed instance: ``separate`` and ``verify`` both exit 5."""
+
+    @pytest.mark.parametrize(
+        "field, value, detail",
+        [
+            ("targets", "", "targets must be a list, got ''"),
+            ("targets", {}, "targets must be a list, got {}"),
+            ("schema", True, "unsupported schema True"),
+            ("schema", 1.0, "unsupported schema 1.0"),
+        ],
+        ids=["targets-string", "targets-dict", "schema-true", "schema-float"],
+    )
+    def test_exit_five(self, tmp_path, capsys, field, value, detail):
+        inst, cert = copy.deepcopy(_verify_pairs()[0])
+        inst[field] = value
+        path = write(tmp_path, "i.json", inst)
+        for argv in (["separate", path], ["verify", path, write(tmp_path, "c.json", cert)]):
+            capsys.readouterr()
+            assert run_cli(["--json", *argv]) == 5, argv
+            assert json.loads(capsys.readouterr().err) == {"error": "ParseError", "detail": detail}
+
+
 class TestIntegerInputs:
     """An integer read from an input file is checked, never truncated or
     converted: a real, a boolean or a string is a parse error (exit 5)."""

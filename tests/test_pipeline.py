@@ -30,7 +30,6 @@ from ordersep.pipeline import (
     parse_instance,
     product_order,
     reduce_factors,
-    run_theorem12,
     separate,
 )
 from ordersep.verify import brute_force_search, verify_certificate
@@ -40,7 +39,9 @@ from helpers import (
     SIX_FREE_TARGETS,
     SIXTEEN_TARGETS,
     TEN_TARGETS,
+    many_targets,
     power_syllables,
+    reference_select,
     two_generator_groups,
     z2z3_syllables,
 )
@@ -506,9 +507,9 @@ class TestSmallAction:
     def test_no_graph_while_draws_are_read(self, f23, graphs_built):
         draws = list(pipeline._small_action(self.mapped(f23), f23, RunConfig(), 0))
         assert graphs_built == []
-        # one candidate per distinct draw of the 176 (fibers 2..12, 16 each):
+        # one candidate per distinct draw of the 240 (fibers 2..16, 16 each):
         # a repeat is skipped
-        assert len(draws) == 162
+        assert len(draws) == 226
 
     def test_fiber_two_scores_each_distinct_draw_once(self, f23, monkeypatch):
         # over Z/2*Z/3 (Cartesian rank 2) fiber 2 has 4 distinct draws
@@ -546,9 +547,9 @@ class TestSmallAction:
 
 
 class TestRepairAcceptance:
-    """A repair round keeps a pooled draw only if it shrinks the colliding
-    set, and a lemma candidate only if it parts its pair and merges no other
-    pair."""
+    """The first repair round keeps a pooled draw or pair only if it leaves
+    no collision, and any round keeps a lemma candidate only if it parts its
+    pair and merges no other pair."""
 
     @staticmethod
     def ten_targets(factors, seed):
@@ -601,9 +602,10 @@ Z2Z3_WORDS = st.one_of(
 
 
 class TestPooledRepair:
-    """Repair rounds read one scored pool of small actions before any lemma.
-    With it, target sets that the per-pair route did not finish certify with
-    no Lemma 3 call."""
+    """The first repair round reads one scored pool of small actions, once,
+    before any lemma, and keeps the first draw or pair that clears every
+    collision.  With it, target sets that the per-pair route did not finish
+    certify with no Lemma 3 call."""
 
     def test_sixteen_targets(self, f23, monkeypatch):
         monkeypatch.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
@@ -611,6 +613,27 @@ class TestPooledRepair:
         inst = Instance(f23, words, "theorem12")
         cert = separate(inst)
         assert len(set(cert.orders.values())) == 16
+        assert verified(inst, cert).verdict
+
+    def test_many_targets_draws_the_sixteen_targets(self):
+        expected = [[list(s) for s in z2z3_syllables(t)] for t in SIXTEEN_TARGETS.split()]
+        assert many_targets(("Z2", "Z3"), 16, 20, 0)["targets"] == expected
+
+    @pytest.mark.parametrize(
+        "pair, n, max_syllables, seed",
+        [(("Z2", "Z3"), 24, 24, 0), (("Z2", "Z3"), 32, 24, 0), (("Klein", "Z3"), 24, 20, 2)],
+        ids=["z2z3-24", "z2z3-32", "klein-z3-24"],
+    )
+    def test_many_targets_in_one_round(self, monkeypatch, pair, n, max_syllables, seed):
+        # the first two sets ran Lemma 3 into a timeout under greedy pool
+        # rounds; the Klein set took three greedy rounds and needs a draw
+        # past fiber 12
+        monkeypatch.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
+        data = many_targets(pair, n, max_syllables, seed)
+        inst = parse_instance(data)
+        cert = separate(inst)
+        assert len(set(cert.orders.values())) == n
+        assert len(repair_stages(cert)) == 1
         assert verified(inst, cert).verdict
 
     def test_six_free_targets(self, zz, monkeypatch):
@@ -653,32 +676,33 @@ class TestPooledRepair:
         assert orders == {0: 15, 1: 21, 2: 3}
         assert transcript == [{"stage": "repair-same-class", "pair": [0, 1], "action": "draw 2"}]
 
-    def test_round_keeps_the_earliest_smallest_draw(self, f23, monkeypatch):
-        # round 1: draws 0 and 2 each leave one pair, draw 0 comes first;
-        # round 2 re-reads the pool, none shrinks {(1, 2)}, and the lemma
-        # candidates part it
+    def test_lemma_rounds_start_from_the_product_orders(self, f23, monkeypatch):
+        # no draw and no pair clears, so none is kept, not even draw 0, which
+        # parts two pairs: the lemma candidates part (0, 1), then (1, 2), from
+        # the product orders, and the pool is read once
         pool = [[5, 1, 1], [1, 1, 1], [5, 5, 1], [7, 7, 7]]
-        comps, orders, transcript, read = self.staged(f23, monkeypatch, pool, [[1, 1, 1], [1, 7, 1]])
-        assert comps == ["draw 0", "lemma 1"] and read == [0, 1, 2, 3]
+        lemma_candidates = [[1, 1, 1], [5, 1, 1], [1, 7, 1]]
+        comps, orders, transcript, read = self.staged(f23, monkeypatch, pool, lemma_candidates)
+        assert comps == ["lemma 1", "lemma 2"] and read == [0, 1, 2, 3]
         assert orders == {0: 15, 1: 21, 2: 3}
         assert transcript == [
-            {"stage": "repair-same-class", "pair": [0, 1], "action": "draw 0"},
-            {"stage": "repair-cross-class", "pair": [1, 2], "prime": 1},
+            {"stage": "repair-same-class", "pair": [0, 1], "prime": 1},
+            {"stage": "repair-cross-class", "pair": [1, 2], "prime": 2},
         ]
 
     def test_entry_names_the_least_pair_parted(self, f23, monkeypatch):
-        # draw 0 leaves (0, 1) colliding: its round parts (0, 2) and (1, 2)
+        # neither draw clears alone; together they part every pair in one
+        # round, whose entry names the least pair and both draws
         pool = [[5, 5, 1], [7, 1, 1]]
         comps, orders, transcript, _read = self.staged(f23, monkeypatch, pool)
         assert comps == ["draw 0", "draw 1"]
         assert orders == {0: 105, 1: 15, 2: 3}
         assert transcript == [
-            {"stage": "repair-cross-class", "pair": [0, 2], "action": "draw 0"},
-            {"stage": "repair-same-class", "pair": [0, 1], "action": "draw 1"},
+            {"stage": "repair-same-class", "pair": [0, 1], "action": "draw 0; draw 1"},
         ]
 
     def test_each_draw_is_scored_once(self, f23, monkeypatch):
-        # two pooled rounds re-read the scores of the first round's draws
+        # seed 65's one round keeps a fiber-13 draw, past the first 176
         scored = []
         real = pipeline.fiber_order
 
@@ -688,8 +712,36 @@ class TestPooledRepair:
 
         monkeypatch.setattr(pipeline, "fiber_order", counted)
         cert = separate(TestRepairAcceptance.ten_targets(f23, 65))
-        assert len(repair_stages(cert)) == 2
+        assert len(repair_stages(cert)) == 1
+        assert [c.note for c in cert.components] == ["small action on fiber 13"]
         assert len(set(scored)) == len(scored) > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_select_matches_the_reference(self, data):
+        # the first clearing draw, else the first clearing pair, else None;
+        # the pool is read up to a clearing draw, or to its end
+        scores = st.integers(1, 6)
+        orders = data.draw(st.lists(scores, min_size=2, max_size=5))
+        pool = data.draw(st.lists(st.lists(scores, min_size=len(orders), max_size=len(orders)), max_size=8))
+        read = []
+
+        def source():
+            for k, vector in enumerate(pool):
+                read.append(k)
+                yield vector, lambda k=k: [k], {"action": f"draw {k}"}
+
+        picked = reference_select(orders, pool)
+        kept = pipeline._select(source(), dict(enumerate(orders)))
+        if picked is None:
+            assert kept is None and read == list(range(len(pool)))
+            return
+        new, build, entry = kept
+        assert build() == list(picked)
+        assert entry == {"action": "; ".join(f"draw {k}" for k in picked)}
+        assert new == {n: math.lcm(o, *(pool[k][n] for k in picked)) for n, o in enumerate(orders)}
+        assert len(set(new.values())) == len(orders)
+        assert read == list(range(picked[0] + 1 if len(picked) == 1 else len(pool)))
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(Z2Z3_WORDS, min_size=2, max_size=6, unique=True))
@@ -702,16 +754,17 @@ class TestPooledRepair:
 
     @pytest.mark.parametrize("seed", sorted(TEN_TARGETS))
     def test_ten_target_rounds_shrink_the_colliding_set(self, f23, seed):
-        # seed 65 takes two pooled rounds
+        # seed 65 keeps one draw, on fiber 13
         words = [normalize(z2z3_syllables(t), f23) for t in TEN_TARGETS[seed].split()]
         _check_rounds(Instance(f23, words, "theorem12"))
 
 
 def _check_rounds(inst: Instance) -> None:
     """Separate with Lemma 3 refused and replay the repair rounds from the
-    certificate: every round's component strictly shrinks the colliding set
-    and parts the pair its entry names, and a pooled draw's graph has the
-    orders it was scored with."""
+    certificate: every round's components strictly shrink the colliding set
+    and part the pair its entry names, and a pooled draw's graph has the
+    orders it was scored with.  A pooled round keeps one component per note
+    of its entry (a draw or a pair), a lemma round one component."""
     scored = {}
     real = pipeline._small_action
 
@@ -729,16 +782,23 @@ def _check_rounds(inst: Instance) -> None:
         mp.setattr(pipeline, "lemma3_separate", _refuse_lemma3)
         cert = separate(inst)
     entries = [t for t in cert.transcript if t["stage"].startswith("repair-")]
-    assert len(entries) == len(cert.components)
+    comps = iter(cert.components)
+    rounds = [
+        [next(comps) for _ in entry["action"].split("; ")] if "action" in entry else [next(comps)]
+        for entry in entries
+    ]
+    assert next(comps, None) is None
     base = cayley_base(*inst.factors.groups())
     orders = [word_order(base, w) for w in inst.targets]
-    for entry, comp in zip(entries, cert.components):
-        on_comp = [word_order(comp.graph, w) for w in inst.targets]
-        new = [math.lcm(o, c) for o, c in zip(orders, on_comp)]
+    for entry, round_comps in zip(entries, rounds):
+        new = orders
+        for comp in round_comps:
+            on_comp = [word_order(comp.graph, w) for w in inst.targets]
+            new = [math.lcm(o, c) for o, c in zip(new, on_comp)]
+            if "action" in entry:
+                assert scored[id(comp)] == on_comp
         assert _colliding_pairs(new) < _colliding_pairs(orders)
         assert tuple(entry["pair"]) == min(_colliding_pairs(orders) - _colliding_pairs(new))
-        if "action" in entry:
-            assert scored[id(comp)] == on_comp
         orders = new
     assert orders == [cert.orders[n] for n in range(len(inst.targets))]
     assert len(set(orders)) == len(inst.targets)

@@ -685,9 +685,9 @@ class TestInstanceSyllables:
 
 class TestInstanceShape:
     """The verifier refuses an instance it would otherwise misread: it reads
-    only the first two factors and no schema, and an empty word of any type
-    walks as the identity.  Each such instance is one the instance parser
-    refuses too."""
+    only the first two factors and no schema, a string or object ``targets``
+    by its characters or keys, and an empty word of any type walks as the
+    identity.  Each such instance is one the instance parser refuses too."""
 
     @pytest.mark.parametrize(
         "tamper, message",
@@ -696,6 +696,10 @@ class TestInstanceShape:
             (lambda i: i.update(factors=i["factors"][0]), "the instance needs exactly two factors"),
             (lambda i: i.update(schema=7), "unsupported instance schema 7"),
             (lambda i: i.update(schema="1"), "unsupported instance schema '1'"),
+            (lambda i: i.update(schema=1.0), "unsupported instance schema 1.0"),
+            (lambda i: i.update(schema=True), "unsupported instance schema True"),
+            (lambda i: i.update(targets=""), "the instance's targets are not a list"),
+            (lambda i: i.update(targets={}), "the instance's targets are not a list"),
             (lambda i: i["factors"][0].update(table=[]), "factor hom 0: target not a group: empty table"),
             (lambda i: i["targets"].append(""), "target 2 is not a list of [factor, value] syllables"),
             (lambda i: i["targets"].append({}), "target 2 is not a list of [factor, value] syllables"),
@@ -703,7 +707,8 @@ class TestInstanceShape:
             (lambda i: i["targets"][0].append([0, 1, 1]), "target 0 is not a list of [factor, value] syllables"),
         ],
         ids=[
-            "three-factors", "factors-dict", "schema-7", "schema-string", "empty-table",
+            "three-factors", "factors-dict", "schema-7", "schema-string", "schema-float",
+            "schema-true", "targets-string", "targets-dict", "empty-table",
             "word-string", "word-dict", "syllable-string", "syllable-long",
         ],
     )
@@ -713,9 +718,9 @@ class TestInstanceShape:
         tamper(inst)
         assert verify_certificate(inst, cert).failures == [message]
 
-    @pytest.mark.parametrize("schema", [1, 1.0])
+    @pytest.mark.parametrize("schema", [1])
     def test_schema_one(self, schema):
-        # the instance parser's rule: a missing schema, or one equal to 1
+        # the instance parser's rule: a missing schema, or the integer 1
         inst, cert = TestInstanceSyllables.certificate()
         inst["schema"] = schema
         assert verify_certificate(inst, cert).verdict
